@@ -44,20 +44,8 @@ from .equivariant import (
 )
 from .errors import ConfigError, DomainError, GeowidthError, PreconditionError
 from .harmonic import RelaxationConfig, estimate_width_constant, relax
-from .serialization import (
-    load_map,
-    load_representation,
-    map_to_json,
-    point_from_json,
-)
-from .spaces import (
-    EuclideanSpace,
-    HyperbolicPlane,
-    MetricTree,
-    convexity_defect,
-    quadrilateral_defect,
-    triangle_defect,
-)
+from .serialization import load_map, load_representation, map_to_json
+from .spaces import convexity_defect, quadrilateral_defect, space_from_json, triangle_defect
 
 DEFAULT_SEED = 0xCA70  # fixed so bare invocations reproduce
 
@@ -109,22 +97,20 @@ def _emit_human(report: dict) -> None:
             out.write("  " + json.dumps(row, sort_keys=True) + "\n")
 
 
-def _base_report(args, ns: argparse.Namespace) -> dict:
+def _base_report(ns: argparse.Namespace) -> dict:
     echo = {k: v for k, v in sorted(vars(ns).items()) if k != "func"}
     return {"version": __version__, "seed": ns.seed, "config": echo}
 
 
 def _build_space(ns):
-    if ns.model == "euclidean":
-        return EuclideanSpace(ns.dim)
-    if ns.model == "hyperbolic":
-        return HyperbolicPlane()
-    if ns.model == "tree":
-        if not ns.tree_file:
-            raise ConfigError("--tree-file is required for the tree model")
+    """The space of --model; a tree file holds the tree's JSON fields."""
+    data = {"dim": ns.dim}
+    if ns.tree_file:
         with open(ns.tree_file) as f:
-            return MetricTree.from_json_dict(json.load(f))
-    raise ConfigError(f"unknown model {ns.model!r}")
+            data.update(json.load(f))
+    elif ns.model == "tree":
+        raise ConfigError("--tree-file is required for the tree model")
+    return space_from_json({**data, "model": ns.model})
 
 
 def cmd_check_cat0(ns) -> int:
@@ -141,7 +127,7 @@ def cmd_check_cat0(ns) -> int:
                 min_quad = min(min_quad, quadrilateral_defect(space, *pts, t, alpha))
             min_conv = min(min_conv, convexity_defect(space, *pts, t))
     ok = bool(min(min_tri, min_quad, min_conv) >= -1e-9)
-    report = _base_report(None, ns)
+    report = _base_report(ns)
     report.update(
         {
             "model": ns.model,
@@ -162,7 +148,7 @@ def cmd_width(ns) -> int:
     h = GeodesicHomotopy(u, v)
     w_inf = homotopy_width_inf(h)
     w2, w2_err = homotopy_width_2_detailed(h, ns.samples_per_edge)
-    report = _base_report(None, ns)
+    report = _base_report(ns)
     report.update(
         {
             "w_inf": w_inf,
@@ -184,7 +170,7 @@ def cmd_convexity(ns) -> int:
     h = GeodesicHomotopy(u, v)
     s_grid = [i / (ns.grid - 1) for i in range(ns.grid)]
     rows = convexity_report(h, s_grid)
-    report = _base_report(None, ns)
+    report = _base_report(ns)
     report["table"] = [{"s": r.s, "length": r.length, "energy": r.energy} for r in rows]
     _emit(report, ns.format)
     return EXIT_OK
@@ -196,7 +182,7 @@ def cmd_harmonic(ns) -> int:
         max_iterations=ns.max_iterations, displacement_tolerance=ns.tolerance
     )
     result = relax(u0, cfg)
-    report = _base_report(None, ns)
+    report = _base_report(ns)
     report.update(
         {
             "e_star": result.e_star,
@@ -214,7 +200,7 @@ def cmd_harmonic(ns) -> int:
 def cmd_estimate_cstar(ns) -> int:
     rho = load_representation(ns.rep)
     estimate = estimate_width_constant(rho, trials=ns.trials, seed=ns.seed)
-    report = _base_report(None, ns)
+    report = _base_report(ns)
     report["c_hat"] = estimate.c_hat
     report["table"] = estimate.samples
     _emit(report, ns.format)
@@ -238,7 +224,7 @@ def cmd_conjugacy_solve(ns) -> int:
         max_radius=ns.max_radius,
     )
     cert = solve(inst)
-    report = _base_report(None, ns)
+    report = _base_report(ns)
     report.update(
         {
             "verdict": cert.verdict,
@@ -263,10 +249,10 @@ def cmd_orbit_report(ns) -> int:
         lists_b=_parse_word_list(ns.b, rep.alphabet_size),
         rep=rep,
     )
-    y = point_from_json(rep.space, json.loads(ns.basepoint))
+    y = rep.space.point_from_json(json.loads(ns.basepoint))
     g = words.parse_word(ns.g, rep.alphabet_size) if ns.g else None
     rep_report: OrbitBoundReport = orbit_bound_report(inst, y, g)
-    report = _base_report(None, ns)
+    report = _base_report(ns)
     report.update(
         {
             "orbit_sum": rep_report.orbit_sum,
@@ -278,6 +264,18 @@ def cmd_orbit_report(ns) -> int:
     return EXIT_OK
 
 
+def _at_least(minimum: int):
+    """An argparse type: an integer no smaller than minimum."""
+
+    def count(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    return count
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="geowidth", description=__doc__.split("\n\n")[0])
     parser.add_argument("--version", action="version", version=__version__)
@@ -286,19 +284,13 @@ def build_parser() -> _Parser:
     def common(p):
         p.add_argument("--seed", type=int, default=DEFAULT_SEED)
         p.add_argument("--format", choices=["json", "csv", "human"], default="json")
-        p.add_argument(
-            "--threads",
-            type=int,
-            default=1,
-            help="reserved; results are reduced deterministically regardless",
-        )
 
     p = sub.add_parser("check-cat0", help="comparison-inequality property suite")
     common(p)
     p.add_argument("--model", choices=["euclidean", "hyperbolic", "tree"], required=True)
     p.add_argument("--dim", type=int, default=2)
     p.add_argument("--tree-file")
-    p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--trials", type=_at_least(1), default=1000)
     p.set_defaults(func=cmd_check_cat0)
 
     p = sub.add_parser("width", help="widths of the geodesic homotopy between two maps")
@@ -312,7 +304,7 @@ def build_parser() -> _Parser:
     common(p)
     p.add_argument("--u", required=True)
     p.add_argument("--v", required=True)
-    p.add_argument("--grid", type=int, default=11)
+    p.add_argument("--grid", type=_at_least(2), default=11)
     p.set_defaults(func=cmd_convexity)
 
     p = sub.add_parser("harmonic", help="relax a map to an energy minimizer")
@@ -325,14 +317,14 @@ def build_parser() -> _Parser:
     p = sub.add_parser("estimate-cstar", help="empirical width-inequality constant")
     common(p)
     p.add_argument("--rep", required=True, help="representation file (json)")
-    p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--trials", type=_at_least(1), default=1000)
     p.set_defaults(func=cmd_estimate_cstar)
 
     p = sub.add_parser("conjugacy", help="list-conjugacy solver")
     conj_sub = p.add_subparsers(dest="conjugacy_command", required=True)
     ps = conj_sub.add_parser("solve")
     common(ps)
-    ps.add_argument("--alphabet", type=int, required=True)
+    ps.add_argument("--alphabet", type=_at_least(1), required=True)
     ps.add_argument("--a", required=True, help="comma-separated words, e.g. 'xy,yX'")
     ps.add_argument("--b", required=True)
     ps.add_argument("--policy", choices=["incremental", "bound"], default="incremental")

@@ -11,19 +11,11 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import Optional
 
 from . import words
-from .errors import (
-    AlphabetMismatchError,
-    BudgetExceededError,
-    CapabilityError,
-    ConfigError,
-    DomainError,
-)
-from .isometries import HyperbolicIsometry, Representation, orbit_distance
+from .errors import BudgetExceededError, CapabilityError, ConfigError, DomainError
+from .isometries import CayleyTranslation, Representation, orbit_distance
 
 POLICY_INCREMENTAL = "incremental"
 POLICY_BOUND = "bound"
@@ -64,16 +56,12 @@ class ConjugacyInstance:
 
     def is_free_context(self) -> bool:
         """Word equality is exact free-group equality unless a matrix rep is given."""
-        return self.rep is None or self.rep.kind == "free-on-cayley-tree"
+        return self.rep is None or self.rep.kind == CayleyTranslation.kind
 
     def elements_equal(self, w1: words.Word, w2: words.Word) -> bool:
         if self.is_free_context():
             return w1 == w2
-        iso1 = self.rep.evaluate(w1)
-        iso2 = self.rep.evaluate(w2)
-        if isinstance(iso1, HyperbolicIsometry):
-            return bool(np.max(np.abs(iso1.matrix - iso2.matrix)) <= 1e-9)
-        raise CapabilityError("word problem only decided for free and matrix groups")
+        return self.rep.evaluate(w1).equals(self.rep.evaluate(w2))
 
 
 @dataclass

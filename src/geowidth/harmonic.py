@@ -7,21 +7,18 @@ convex objective
     F_v(y) = sum_j w_j d^2(y, p_j)  +  sum_k w_k d^2(y, A_k y),
 
 where the p_j are the rho-translated neighbour images and the A_k come
-from loop edges.  The inner solver is model-specific: a closed-form
-least-squares step in Euclidean space, Riemannian gradient descent with
-Armijo backtracking on the hyperbolic plane, and a convex search over
-candidate subtrees on the tree models.
+from loop edges.  The inner solver belongs to the model space
+(``Space.local_min`` in :mod:`geowidth.spaces`), as does the
+non-elementarity precondition of the width-constant estimator.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from . import words
 from .equivariant import (
     EquivariantMap,
     GeodesicHomotopy,
@@ -30,14 +27,8 @@ from .equivariant import (
     homotopy_width_inf,
     length,
 )
-from .errors import CapabilityError, DomainError, PreconditionError
-from .isometries import (
-    CayleyTranslation,
-    HyperbolicIsometry,
-    Representation,
-    TreeAutomorphism,
-)
-from .spaces import CayleyPoint, CayleyTree, EuclideanSpace, HyperbolicPlane, MetricTree, golden_section
+from .errors import DomainError, PreconditionError
+from .isometries import Representation
 
 
 @dataclass
@@ -83,183 +74,6 @@ def _local_terms(u: EquivariantMap, vertex):
     return point_terms, iso_terms
 
 
-def _local_value(space, y, point_terms, iso_terms) -> float:
-    total = 0.0
-    for w, p in point_terms:
-        total += w * space.dist(y, p) ** 2
-    for w, a in iso_terms:
-        total += w * space.dist(y, a.apply(y)) ** 2
-    return total
-
-
-# --- Euclidean: exact weighted least squares --------------------------------
-
-
-def _euclidean_local_min(space: EuclideanSpace, y0, point_terms, iso_terms):
-    n = space.dim
-    rows, rhs = [], []
-    for w, p in point_terms:
-        s = math.sqrt(w)
-        rows.append(s * np.eye(n))
-        rhs.append(s * p)
-    for w, a in iso_terms:
-        s = math.sqrt(w)
-        rows.append(s * (np.eye(n) - a.matrix))
-        rhs.append(s * a.translation)
-    if not rows:
-        return y0
-    m = np.vstack(rows)
-    c = np.concatenate(rhs)
-    # minimum-norm correction of the current image keeps flat directions put
-    delta, *_ = np.linalg.lstsq(m, c - m @ y0, rcond=None)
-    return y0 + delta
-
-
-# --- hyperbolic plane: Riemannian gradient descent with Armijo --------------
-
-_J = np.diag([1.0, -1.0, -1.0])
-
-
-def _safe_ratio(phi: float, h: float) -> float:
-    """phi / sqrt(h^2 - 1), continuous at h = 1."""
-    s2 = h * h - 1.0
-    if s2 <= 1e-24:
-        return 1.0
-    return phi / math.sqrt(s2)
-
-
-def _hyperbolic_grad(space: HyperbolicPlane, y, point_terms, iso_mats):
-    """Riemannian gradient of the local objective at y."""
-    ambient = np.zeros(3)
-    for w, p in point_terms:
-        h = space.minkowski(y, p)
-        phi = space.dist(y, p)
-        ambient += w * 2.0 * _safe_ratio(phi, h) * (_J @ p)
-    for w, b in iso_mats:
-        by = b @ y
-        h = space.minkowski(y, by)
-        phi = math.acosh(max(h, 1.0))
-        grad_h = _J @ by + b.T @ (_J @ y)
-        ambient += w * 2.0 * _safe_ratio(phi, h) * grad_h
-    g = -(_J @ ambient) + float(y @ ambient) * y
-    return g
-
-
-def _hyperbolic_local_min(space: HyperbolicPlane, y0, point_terms, iso_terms, cfg: RelaxationConfig):
-    iso_mats = [(w, a.so21_matrix()) for w, a in iso_terms]
-    y = y0
-    f = _local_value(space, y, point_terms, iso_terms)
-    step = 0.25 / max(sum(w for w, _ in point_terms) + sum(w for w, _ in iso_terms), 1e-12)
-    for _ in range(cfg.max_inner_iterations):
-        g = _hyperbolic_grad(space, y, point_terms, iso_mats)
-        gnorm = space.tangent_norm(g)
-        if gnorm < 1e-9:
-            break
-        t = step * 2.0
-        improved = False
-        while t * gnorm > 1e-16:
-            y_try = space.exp(y, -t * g)
-            f_try = _local_value(space, y_try, point_terms, iso_terms)
-            if f_try <= f - cfg.armijo_slope * t * gnorm * gnorm:
-                # refuse steps that no longer move the objective: they only
-                # drift the iterate along flat directions of the local term
-                if f - f_try <= cfg.inner_tolerance * max(1.0, abs(f)):
-                    break
-                y, f = y_try, f_try
-                step = t
-                improved = True
-                break
-            t *= cfg.armijo_backtrack
-        if not improved:
-            break
-    return y
-
-
-# --- tree models: convex search over candidate subtrees ---------------------
-
-
-def _segment_min(space, a, b, f, tol: float = 1e-10):
-    """Best point on the geodesic [a, b] for objective f."""
-    if space.dist(a, b) < 1e-15:
-        return a, f(a)
-    s = golden_section(lambda s: f(space.geodesic_point(a, b, s)), 0.0, 1.0, tol)
-    candidates = [a, space.geodesic_point(a, b, s), b]
-    vals = [f(p) for p in candidates]
-    i = int(np.argmin(vals))
-    return candidates[i], vals[i]
-
-
-def _finite_tree_local_min(space: MetricTree, y0, point_terms, iso_terms, cfg: RelaxationConfig):
-    def f(y):
-        return _local_value(space, y, point_terms, iso_terms)
-
-    best, best_val = y0, f(y0)
-    for v in space.vertices:
-        p = space.vertex_point(v)
-        val = f(p)
-        if val < best_val - 1e-15:
-            best, best_val = p, val
-    for k, (a, b, _) in enumerate(space.edges):
-        pa, pb = space.vertex_point(a), space.vertex_point(b)
-        p, val = _segment_min(space, pa, pb, f, cfg.inner_tolerance)
-        if val < best_val - 1e-15:
-            best, best_val = p, val
-    return best
-
-
-def _cayley_local_min(space: CayleyTree, y0, point_terms, iso_terms, cfg: RelaxationConfig):
-    def f(y):
-        return _local_value(space, y, point_terms, iso_terms)
-
-    # anchors: the current point and every term target (isometry images both ways)
-    anchor_points = [y0] + [p for _, p in point_terms]
-    for _, a in iso_terms:
-        anchor_points.append(a.apply(y0))
-        anchor_points.append(a.inverse().apply(y0))
-    anchor_vertices: set[words.Word] = set()
-    for p in anchor_points:
-        for w, _ in space._anchors(p):
-            anchor_vertices.add(w)
-    # the subtree spanned by the anchors: vertices on all pairwise paths
-    verts = set(anchor_vertices)
-    anchors = list(anchor_vertices)
-    for i in range(len(anchors)):
-        for j in range(i + 1, len(anchors)):
-            w = words.multiply(words.inverse(anchors[i]), anchors[j])
-            cur = anchors[i]
-            for x in w:
-                cur = words.multiply(cur, (x,))
-                verts.add(cur)
-    best, best_val = y0, f(y0)
-    edges = set()
-    for v in verts:
-        p = space.vertex_point(v)
-        val = f(p)
-        if val < best_val - 1e-15:
-            best, best_val = p, val
-        if v:  # edge toward the parent vertex
-            edges.add((v[:-1], v[-1]))
-    for w, letter in edges:
-        pa = space.vertex_point(w)
-        pb = space.vertex_point(words.multiply(w, (letter,)))
-        p, val = _segment_min(space, pa, pb, f, cfg.inner_tolerance)
-        if val < best_val - 1e-15:
-            best, best_val = p, val
-    return best
-
-
-def _local_min(space, y0, point_terms, iso_terms, cfg: RelaxationConfig):
-    if isinstance(space, EuclideanSpace):
-        return _euclidean_local_min(space, y0, point_terms, iso_terms)
-    if isinstance(space, HyperbolicPlane):
-        return _hyperbolic_local_min(space, y0, point_terms, iso_terms, cfg)
-    if isinstance(space, MetricTree):
-        return _finite_tree_local_min(space, y0, point_terms, iso_terms, cfg)
-    if isinstance(space, CayleyTree):
-        return _cayley_local_min(space, y0, point_terms, iso_terms, cfg)
-    raise CapabilityError(f"relaxation not supported on model {space.model!r}")
-
-
 def relax(u0: EquivariantMap, cfg: RelaxationConfig | None = None) -> HarmonicResult:
     """Cyclic coordinate descent to an equivariant harmonic map."""
     if cfg is None:
@@ -277,10 +91,10 @@ def relax(u0: EquivariantMap, cfg: RelaxationConfig | None = None) -> HarmonicRe
         for v in order:
             point_terms, iso_terms = _local_terms(u, v)
             y_old = images[v]
-            y_new = _local_min(space, y_old, point_terms, iso_terms, cfg)
+            y_new = space.local_min(y_old, point_terms, iso_terms, cfg)
             # guard: never accept an increase of the local objective
-            if _local_value(space, y_new, point_terms, iso_terms) > _local_value(
-                space, y_old, point_terms, iso_terms
+            if space.local_value(y_new, point_terms, iso_terms) > space.local_value(
+                y_old, point_terms, iso_terms
             ):
                 y_new = y_old
             max_disp = max(max_disp, space.dist(y_old, y_new))
@@ -319,14 +133,14 @@ def stationarity_probe(
     worst = 0.0
     for v in u.graph.vertices:
         point_terms, iso_terms = _local_terms(u, v)
-        f0 = _local_value(space, u.images[v], point_terms, iso_terms)
+        f0 = space.local_value(u.images[v], point_terms, iso_terms)
         for _ in range(directions):
             target = space.random_point(rng)
             d = space.dist(u.images[v], target)
             if d < step:
                 continue
             y_try = space.geodesic_point(u.images[v], target, step / d)
-            f_try = _local_value(space, y_try, point_terms, iso_terms)
+            f_try = space.local_value(y_try, point_terms, iso_terms)
             worst = max(worst, f0 - f_try)
     return worst
 
@@ -400,56 +214,7 @@ def check_not_boundary_fixing(rho: Representation, search_radius: int = 3) -> No
     Finite-tree targets have no ideal boundary; only trivial images are
     refused.  Euclidean targets are not supported.
     """
-    space = rho.space
-    if isinstance(space, HyperbolicPlane):
-        endpoint_sets: list[tuple] = []
-        for g in words.enumerate_ball(rho.alphabet_size, search_radius):
-            ends = rho.evaluate(g).axis_endpoints()
-            if ends is None:
-                continue
-            same = any(
-                max(abs(_end_diff(a, b)) for a, b in zip(ends, other)) <= 1e-6
-                for other in endpoint_sets
-            )
-            if not same:
-                endpoint_sets.append(ends)
-            if len(endpoint_sets) >= 2:
-                return
-        raise PreconditionError(
-            "representation image fixes an ideal boundary point: no two "
-            "hyperbolic elements with distinct axes found "
-            f"(searched words up to length {search_radius})"
-        )
-    if isinstance(space, CayleyTree):
-        hyperbolics = []
-        for g in words.enumerate_ball(rho.alphabet_size, search_radius):
-            iso = rho.evaluate(g)
-            if iso.translation_length() == 0:
-                continue
-            for h in hyperbolics:
-                if words.multiply(iso.word, h) != words.multiply(h, iso.word):
-                    return
-            hyperbolics.append(iso.word)
-        raise PreconditionError(
-            "representation image fixes an end of the tree: no two "
-            "non-commuting hyperbolic elements found "
-            f"(searched words up to length {search_radius})"
-        )
-    if isinstance(space, MetricTree):
-        if rho.is_trivial():
-            raise PreconditionError("trivial representation image is refused")
-        return  # a finite tree has no ideal boundary
-    raise CapabilityError(
-        f"boundary fixed-point check not implemented for model {space.model!r}"
-    )
-
-
-def _end_diff(a: float, b: float) -> float:
-    if math.isinf(a) and math.isinf(b):
-        return 0.0
-    if math.isinf(a) or math.isinf(b):
-        return math.inf
-    return a - b
+    rho.space.check_not_boundary_fixing(rho, search_radius)
 
 
 @dataclass

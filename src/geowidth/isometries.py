@@ -11,9 +11,22 @@ Four isometry families, one per model:
 * ``CayleyTranslation`` -- left translation by a group element on the Cayley
   tree of a free group.
 
+Each family owns its identity, its JSON form (``to_json`` and
+``from_json``) and its ``kind``, the name a representation into it carries.
+
 A ``Representation`` assigns one isometry per generator and evaluates words
-by composition.  Construction checks the distance-preservation identity on
-seeded random samples.
+by composition; its kind and identity are worked out from its space.
+Construction checks the distance-preservation identity on seeded random
+samples.  JSON form::
+
+    {"kind": ..., "space": space, "generators": [gen, ...]}
+    gen (euclidean):  {"matrix": [[...]], "translation": [...]}
+    gen (hyperbolic): {"matrix": [[a, b], [c, d]]}
+    gen (tree):       {"permutation": {v: w}}
+    gen (cayley):     {"word": "xy"}
+
+with ``space`` as in :mod:`geowidth.spaces`; ``kind`` may be left out, and
+a kind that contradicts the space is refused.
 """
 
 from __future__ import annotations
@@ -24,11 +37,32 @@ from typing import Sequence
 import numpy as np
 
 from . import words
-from .errors import AlphabetMismatchError, DomainError, InvalidPointError, ModelMismatchError
-from .spaces import CayleyPoint, CayleyTree, EuclideanSpace, HyperbolicPlane, MetricTree, Space, TreePoint
+from .errors import CapabilityError, ConfigError, DomainError
+from .spaces import CayleyPoint, CayleyTree, EuclideanSpace, HyperbolicPlane, MetricTree, Space, TreePoint, space_from_json
 
 
 class Isometry:
+    #: the kind of a representation into this family
+    kind = "abstract"
+
+    @classmethod
+    def identity(cls, space: Space) -> "Isometry":
+        raise NotImplementedError
+
+    @classmethod
+    def from_json(cls, space: Space, data: dict) -> "Isometry":
+        raise NotImplementedError
+
+    def to_json(self) -> dict:
+        raise NotImplementedError
+
+    def is_identity(self, tol: float = 1e-9) -> bool:
+        raise NotImplementedError
+
+    def equals(self, other: "Isometry") -> bool:
+        """Whether other is the same isometry; this decides the word problem."""
+        raise CapabilityError("word problem only decided for free and matrix groups")
+
     def apply(self, p):
         raise NotImplementedError
 
@@ -41,6 +75,8 @@ class Isometry:
 
 
 class EuclideanIsometry(Isometry):
+    kind = "euclidean"
+
     def __init__(self, matrix, translation):
         self.matrix = np.asarray(matrix, dtype=float)
         self.translation = np.asarray(translation, dtype=float)
@@ -51,8 +87,15 @@ class EuclideanIsometry(Isometry):
             raise DomainError("matrix is not orthogonal")
 
     @classmethod
-    def identity(cls, dim: int) -> "EuclideanIsometry":
-        return cls(np.eye(dim), np.zeros(dim))
+    def identity(cls, space: EuclideanSpace) -> "EuclideanIsometry":
+        return cls(np.eye(space.dim), np.zeros(space.dim))
+
+    @classmethod
+    def from_json(cls, space: EuclideanSpace, data: dict) -> "EuclideanIsometry":
+        return cls(data["matrix"], data["translation"])
+
+    def to_json(self) -> dict:
+        return {"matrix": self.matrix.tolist(), "translation": self.translation.tolist()}
 
     def apply(self, p):
         return self.matrix @ p + self.translation
@@ -75,6 +118,8 @@ class EuclideanIsometry(Isometry):
 
 
 class HyperbolicIsometry(Isometry):
+    kind = "matrix-on-H2"
+
     def __init__(self, matrix):
         m = np.asarray(matrix, dtype=float)
         if m.shape != (2, 2):
@@ -93,8 +138,15 @@ class HyperbolicIsometry(Isometry):
         self.trace = float(m[0, 0] + m[1, 1])
 
     @classmethod
-    def identity(cls) -> "HyperbolicIsometry":
+    def identity(cls, space: HyperbolicPlane | None = None) -> "HyperbolicIsometry":
         return cls(np.eye(2))
+
+    @classmethod
+    def from_json(cls, space: HyperbolicPlane, data: dict) -> "HyperbolicIsometry":
+        return cls(data["matrix"])
+
+    def to_json(self) -> dict:
+        return {"matrix": self.matrix.tolist()}
 
     @staticmethod
     def _to_sym(p) -> np.ndarray:
@@ -125,6 +177,9 @@ class HyperbolicIsometry(Isometry):
     def is_identity(self, tol: float = 1e-9) -> bool:
         return bool(np.max(np.abs(self.matrix - np.eye(2))) <= tol)
 
+    def equals(self, other: "HyperbolicIsometry") -> bool:
+        return bool(np.max(np.abs(self.matrix - other.matrix)) <= 1e-9)
+
     def is_hyperbolic(self, tol: float = 1e-9) -> bool:
         return abs(self.trace) > 2.0 + tol
 
@@ -153,6 +208,8 @@ class HyperbolicIsometry(Isometry):
 
 
 class TreeAutomorphism(Isometry):
+    kind = "tree-automorphisms"
+
     def __init__(self, tree: MetricTree, permutation: dict):
         self.tree = tree
         self.permutation = dict(permutation)
@@ -171,6 +228,15 @@ class TreeAutomorphism(Isometry):
     @classmethod
     def identity(cls, tree: MetricTree) -> "TreeAutomorphism":
         return cls(tree, {v: v for v in tree.vertices})
+
+    @classmethod
+    def from_json(cls, tree: MetricTree, data: dict) -> "TreeAutomorphism":
+        # JSON object keys are strings; map back onto the vertex ids
+        by_str = {str(v): v for v in tree.vertices}
+        return cls(tree, {by_str[k]: v for k, v in data["permutation"].items()})
+
+    def to_json(self) -> dict:
+        return {"permutation": {str(v): w for v, w in self.permutation.items()}}
 
     def apply(self, p: TreePoint) -> TreePoint:
         if p.edge is None:
@@ -191,11 +257,13 @@ class TreeAutomorphism(Isometry):
     def inverse(self) -> "TreeAutomorphism":
         return TreeAutomorphism(self.tree, {w: v for v, w in self.permutation.items()})
 
-    def is_identity(self) -> bool:
+    def is_identity(self, tol: float = 1e-9) -> bool:
         return all(self.permutation[v] == v for v in self.tree.vertices)
 
 
 class CayleyTranslation(Isometry):
+    kind = "free-on-cayley-tree"
+
     def __init__(self, tree: CayleyTree, word: words.Word):
         self.tree = tree
         words.check_alphabet(word, tree.rank)
@@ -204,6 +272,13 @@ class CayleyTranslation(Isometry):
     @classmethod
     def identity(cls, tree: CayleyTree) -> "CayleyTranslation":
         return cls(tree, ())
+
+    @classmethod
+    def from_json(cls, tree: CayleyTree, data: dict) -> "CayleyTranslation":
+        return cls(tree, words.parse_word(data["word"], tree.rank))
+
+    def to_json(self) -> dict:
+        return {"word": words.word_to_str(self.word)}
 
     def apply(self, p: CayleyPoint) -> CayleyPoint:
         base = words.multiply(self.word, p.word)
@@ -217,7 +292,7 @@ class CayleyTranslation(Isometry):
     def inverse(self) -> "CayleyTranslation":
         return CayleyTranslation(self.tree, words.inverse(self.word))
 
-    def is_identity(self) -> bool:
+    def is_identity(self, tol: float = 1e-9) -> bool:
         return self.word == ()
 
     def translation_length(self) -> int:
@@ -226,16 +301,12 @@ class CayleyTranslation(Isometry):
         return len(core)
 
 
-KIND_FREE = "free-on-cayley-tree"
-KIND_MATRIX = "matrix-on-H2"
-KIND_TREE = "tree-automorphisms"
-KIND_EUCLIDEAN = "euclidean"
-
-_KIND_BY_MODEL = {
-    "cayley": KIND_FREE,
-    "hyperbolic": KIND_MATRIX,
-    "tree": KIND_TREE,
-    "euclidean": KIND_EUCLIDEAN,
+#: the isometry family of each space model
+FAMILIES = {
+    EuclideanSpace.model: EuclideanIsometry,
+    HyperbolicPlane.model: HyperbolicIsometry,
+    MetricTree.model: TreeAutomorphism,
+    CayleyTree.model: CayleyTranslation,
 }
 
 
@@ -246,7 +317,6 @@ class Representation:
         self,
         space: Space,
         generators: Sequence[Isometry],
-        kind: str | None = None,
         check_samples: int = 1000,
         seed: int = 0,
     ):
@@ -254,7 +324,8 @@ class Representation:
         self.generators = list(generators)
         if not self.generators:
             raise DomainError("a representation needs at least one generator")
-        self.kind = kind if kind is not None else _KIND_BY_MODEL[space.model]
+        self.family = FAMILIES[space.model]
+        self.kind = self.family.kind
         self.alphabet_size = len(self.generators)
         if check_samples > 0:
             self._check_isometry_property(check_samples, seed)
@@ -274,18 +345,29 @@ class Representation:
         """The free group of the given rank acting on its own Cayley tree."""
         tree = CayleyTree(rank)
         gens = [CayleyTranslation(tree, (i,)) for i in range(1, rank + 1)]
-        return cls(tree, gens, kind=KIND_FREE, check_samples=100)
+        return cls(tree, gens, check_samples=100)
+
+    @classmethod
+    def from_json(cls, data: dict, check_samples: int = 200) -> "Representation":
+        space = space_from_json(data["space"])
+        family = FAMILIES[space.model]
+        if data.get("kind", family.kind) != family.kind:
+            raise ConfigError(
+                f"representation kind {data['kind']!r} contradicts its {space.model!r} "
+                f"space, whose kind is {family.kind!r}"
+            )
+        gens = [family.from_json(space, g) for g in data["generators"]]
+        return cls(space, gens, check_samples=check_samples)
+
+    def to_json(self) -> dict:
+        return {
+            "kind": self.kind,
+            "space": self.space.to_json(),
+            "generators": [g.to_json() for g in self.generators],
+        }
 
     def identity_isometry(self) -> Isometry:
-        if isinstance(self.space, EuclideanSpace):
-            return EuclideanIsometry.identity(self.space.dim)
-        if isinstance(self.space, HyperbolicPlane):
-            return HyperbolicIsometry.identity()
-        if isinstance(self.space, MetricTree):
-            return TreeAutomorphism.identity(self.space)
-        if isinstance(self.space, CayleyTree):
-            return CayleyTranslation.identity(self.space)
-        raise ModelMismatchError(f"unknown space model {self.space.model}")
+        return self.family.identity(self.space)
 
     def evaluate(self, g: words.Word) -> Isometry:
         words.check_alphabet(g, self.alphabet_size)
@@ -301,13 +383,7 @@ class Representation:
         return self.evaluate(g).apply(p)
 
     def is_trivial(self, tol: float = 1e-9) -> bool:
-        out = []
-        for g in self.generators:
-            if isinstance(g, (EuclideanIsometry, HyperbolicIsometry)):
-                out.append(g.is_identity(tol))
-            else:
-                out.append(g.is_identity())
-        return all(out)
+        return all(g.is_identity(tol) for g in self.generators)
 
 
 def orbit_distance(rho: Representation, y, g: words.Word, h: words.Word) -> float:

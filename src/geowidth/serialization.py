@@ -1,147 +1,24 @@
-"""JSON schemas for spaces, points, representations, and map files.
+"""Map files and JSON file I/O.
 
-Schemas
--------
-space:  {"model": "euclidean", "dim": n}
-        {"model": "hyperbolic"}
-        {"model": "tree", "vertices": [...], "edges": [{"a","b","len"}]}
-        {"model": "cayley", "rank": n}
-point:  {"model": "euclidean", "coords": [...]}
-        {"model": "hyperbolic", "coords": [x0, x1, x2]}
-        {"model": "tree", "vertex": id} | {"model": "tree", "edge": k, "offset": o}
-        {"model": "cayley", "word": "ab"} | {..., "letter": "a", "t": 0.3}
-representation:
-        {"kind": ..., "space": space, "generators": [gen, ...]}
-        gen (euclidean):  {"matrix": [[...]], "translation": [...]}
-        gen (hyperbolic): {"matrix": [[a, b], [c, d]]}
-        gen (tree):       {"permutation": {v: w}}
-        gen (cayley):     {"word": "xy"}
-map file:
-        {"graph": {"vertices": [...],
-                   "edges": [{"src", "tgt", "len", "label"}]},
-         "images": {vertex: point},
-         "representation": representation}   (or "representation_file": path)
+The JSON forms of spaces and points live on the model classes
+(:mod:`geowidth.spaces`), those of isometries and representations on the
+isometry families (:mod:`geowidth.isometries`).  This module adds the map
+file::
+
+    {"graph": {"vertices": [...],
+               "edges": [{"src", "tgt", "len", "label"}]},
+     "images": {vertex: point},
+     "representation": representation}   (or "representation_file": path)
 """
 
 from __future__ import annotations
 
 import json
 
-import numpy as np
-
 from . import words
 from .equivariant import Edge, EquivariantMap, FundamentalGraph
 from .errors import DomainError
-from .isometries import (
-    KIND_EUCLIDEAN,
-    KIND_FREE,
-    KIND_MATRIX,
-    KIND_TREE,
-    CayleyTranslation,
-    EuclideanIsometry,
-    HyperbolicIsometry,
-    Representation,
-    TreeAutomorphism,
-)
-from .spaces import CayleyPoint, CayleyTree, EuclideanSpace, HyperbolicPlane, MetricTree, TreePoint
-
-
-def space_to_json(space) -> dict:
-    if isinstance(space, EuclideanSpace):
-        return {"model": "euclidean", "dim": space.dim}
-    if isinstance(space, HyperbolicPlane):
-        return {"model": "hyperbolic"}
-    if isinstance(space, MetricTree):
-        return {"model": "tree", **space.to_json_dict()}
-    if isinstance(space, CayleyTree):
-        return {"model": "cayley", "rank": space.rank}
-    raise DomainError(f"unknown space {space!r}")
-
-
-def space_from_json(data: dict):
-    model = data["model"]
-    if model == "euclidean":
-        return EuclideanSpace(int(data["dim"]))
-    if model == "hyperbolic":
-        return HyperbolicPlane()
-    if model == "tree":
-        return MetricTree.from_json_dict(data)
-    if model == "cayley":
-        return CayleyTree(int(data["rank"]))
-    raise DomainError(f"unknown space model {model!r}")
-
-
-def point_to_json(space, p) -> dict:
-    if isinstance(space, EuclideanSpace):
-        return {"model": "euclidean", "coords": [float(x) for x in p]}
-    if isinstance(space, HyperbolicPlane):
-        return {"model": "hyperbolic", "coords": [float(x) for x in p]}
-    if isinstance(space, MetricTree):
-        if p.edge is None:
-            return {"model": "tree", "vertex": p.vertex}
-        return {"model": "tree", "edge": p.edge, "offset": p.offset}
-    if isinstance(space, CayleyTree):
-        out = {"model": "cayley", "word": words.word_to_str(p.word)}
-        if p.letter != 0:
-            out["letter"] = words.word_to_str((p.letter,))
-            out["t"] = p.t
-        return out
-    raise DomainError(f"unknown space {space!r}")
-
-
-def point_from_json(space, data: dict):
-    model = data["model"]
-    if model != space.model:
-        raise DomainError(f"point model {model!r} does not match space {space.model!r}")
-    if model == "euclidean":
-        return space.point(data["coords"])
-    if model == "hyperbolic":
-        return space.point(data["coords"])
-    if model == "tree":
-        if "vertex" in data:
-            return space.vertex_point(data["vertex"])
-        return space.edge_point(int(data["edge"]), float(data["offset"]))
-    if model == "cayley":
-        w = words.parse_word(data["word"], space.rank)
-        if "letter" in data:
-            letter = words.parse_word(data["letter"], space.rank)[0]
-            return space.edge_point(w, letter, float(data["t"]))
-        return space.vertex_point(w)
-    raise DomainError(f"unknown point model {model!r}")
-
-
-def representation_to_json(rho: Representation) -> dict:
-    gens = []
-    for g in rho.generators:
-        if isinstance(g, EuclideanIsometry):
-            gens.append({"matrix": g.matrix.tolist(), "translation": g.translation.tolist()})
-        elif isinstance(g, HyperbolicIsometry):
-            gens.append({"matrix": g.matrix.tolist()})
-        elif isinstance(g, TreeAutomorphism):
-            gens.append({"permutation": {str(v): w for v, w in g.permutation.items()}})
-        elif isinstance(g, CayleyTranslation):
-            gens.append({"word": words.word_to_str(g.word)})
-        else:
-            raise DomainError(f"unknown isometry {g!r}")
-    return {"kind": rho.kind, "space": space_to_json(rho.space), "generators": gens}
-
-
-def representation_from_json(data: dict, check_samples: int = 200) -> Representation:
-    space = space_from_json(data["space"])
-    gens = []
-    for g in data["generators"]:
-        if isinstance(space, EuclideanSpace):
-            gens.append(EuclideanIsometry(g["matrix"], g["translation"]))
-        elif isinstance(space, HyperbolicPlane):
-            gens.append(HyperbolicIsometry(g["matrix"]))
-        elif isinstance(space, MetricTree):
-            # JSON object keys are strings; map back onto the vertex ids
-            by_str = {str(v): v for v in space.vertices}
-            perm = {by_str[k]: v for k, v in g["permutation"].items()}
-            gens.append(TreeAutomorphism(space, perm))
-        elif isinstance(space, CayleyTree):
-            gens.append(CayleyTranslation(space, words.parse_word(g["word"], space.rank)))
-    return Representation(space, gens, kind=data.get("kind"), check_samples=check_samples)
+from .isometries import Representation
 
 
 def map_to_json(u: EquivariantMap) -> dict:
@@ -158,18 +35,17 @@ def map_to_json(u: EquivariantMap) -> dict:
                 for e in u.graph.edges
             ],
         },
-        "images": {str(v): point_to_json(u.space, p) for v, p in u.images.items()},
-        "representation": representation_to_json(u.rho),
+        "images": {str(v): u.space.point_to_json(p) for v, p in u.images.items()},
+        "representation": u.rho.to_json(),
     }
 
 
 def map_from_json(data: dict, rho: Representation | None = None) -> EquivariantMap:
     if rho is None:
         if "representation" in data:
-            rho = representation_from_json(data["representation"])
+            rho = Representation.from_json(data["representation"])
         elif "representation_file" in data:
-            with open(data["representation_file"]) as f:
-                rho = representation_from_json(json.load(f))
+            rho = load_representation(data["representation_file"])
         else:
             raise DomainError("map file carries no representation")
     g = data["graph"]
@@ -185,7 +61,7 @@ def map_from_json(data: dict, rho: Representation | None = None) -> EquivariantM
     graph = FundamentalGraph(g["vertices"], edges)
     by_str = {str(v): v for v in graph.vertices}
     images = {
-        by_str[k]: point_from_json(rho.space, p) for k, p in data["images"].items()
+        by_str[k]: rho.space.point_from_json(p) for k, p in data["images"].items()
     }
     return EquivariantMap(graph, rho, images)
 
@@ -202,9 +78,9 @@ def save_map(path: str, u: EquivariantMap) -> None:
 
 def load_representation(path: str) -> Representation:
     with open(path) as f:
-        return representation_from_json(json.load(f))
+        return Representation.from_json(json.load(f))
 
 
 def save_representation(path: str, rho: Representation) -> None:
     with open(path, "w") as f:
-        json.dump(representation_to_json(rho), f, indent=2, sort_keys=True)
+        json.dump(rho.to_json(), f, indent=2, sort_keys=True)

@@ -187,6 +187,32 @@ class TestConjugacy:
         code, _, _ = run(capsys, ["conjugacy", "solve", "--alphabet", "2", "--a", "ab"])
         assert code == 64
 
+    @pytest.mark.parametrize(
+        "rho, kind",
+        [
+            (
+                Representation(
+                    HyperbolicPlane(),
+                    [HyperbolicIsometry([[1.0, 0.0], [0.0, 1.0]]), HyperbolicIsometry([[2.0, 1.0], [1.0, 1.0]])],
+                    check_samples=10,
+                ),
+                "free-on-cayley-tree",
+            ),
+            (Representation.free_on_cayley_tree(2), "matrix-on-H2"),
+        ],
+        ids=["hyperbolic-labelled-free", "cayley-labelled-matrix"],
+    )
+    def test_kind_contradicting_space(self, capsys, tmp_path, rho, kind):
+        path = tmp_path / "rep.json"
+        path.write_text(json.dumps({**rho.to_json(), "kind": kind}))
+        code, out, err = run(
+            capsys,
+            ["conjugacy", "solve", "--alphabet", "2", "--a", "a", "--b", "e", "--rep", str(path)],
+        )
+        assert code == 65
+        assert out == ""
+        assert "contradicts" in err
+
 
 class TestOrbitReport:
     def test_cayley_basepoint(self, capsys, free_rep_file):
@@ -232,6 +258,24 @@ class TestDeterminism:
             capsys, ["check-cat0", "--model", "euclidean", "--trials", "5", "--seed", "123"]
         )
         assert json.loads(out)["seed"] == 123
+
+
+class TestArgumentBounds:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["convexity", "--u", "u.json", "--v", "v.json", "--grid", "1"],
+            ["check-cat0", "--model", "hyperbolic", "--trials", "0"],
+            ["estimate-cstar", "--rep", "rep.json", "--trials", "-2"],
+            ["conjugacy", "solve", "--alphabet", "0", "--a", "a", "--b", "a"],
+        ],
+        ids=["grid-1", "check-cat0-trials-0", "estimate-cstar-trials-negative", "alphabet-0"],
+    )
+    def test_count_below_minimum(self, capsys, argv):
+        code, out, err = run(capsys, argv)
+        assert code == 64
+        assert out == ""
+        assert "must be at least" in err
 
 
 class TestTopLevel:

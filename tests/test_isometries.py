@@ -183,11 +183,11 @@ class TestRepresentation:
                 self.translation = np.zeros(2)
 
         with pytest.raises(DomainError):
-            Representation(EuclideanSpace(2), [Shear()], kind="euclidean", check_samples=50)
+            Representation(EuclideanSpace(2), [Shear()], check_samples=50)
 
     def test_is_trivial(self):
         rho = Representation(
-            EuclideanSpace(2), [EuclideanIsometry.identity(2)], check_samples=0
+            EuclideanSpace(2), [EuclideanIsometry.identity(EuclideanSpace(2))], check_samples=0
         )
         assert rho.is_trivial()
 

@@ -12,19 +12,8 @@ from geowidth.isometries import (
     Representation,
     TreeAutomorphism,
 )
-from geowidth.serialization import (
-    load_map,
-    map_from_json,
-    map_to_json,
-    point_from_json,
-    point_to_json,
-    representation_from_json,
-    representation_to_json,
-    save_map,
-    space_from_json,
-    space_to_json,
-)
-from geowidth.spaces import CayleyTree, EuclideanSpace, HyperbolicPlane, MetricTree
+from geowidth.serialization import load_map, map_from_json, map_to_json, save_map
+from geowidth.spaces import CayleyTree, EuclideanSpace, HyperbolicPlane, MetricTree, space_from_json
 
 
 def spaces():
@@ -39,7 +28,7 @@ def spaces():
 class TestSpaceAndPoint:
     @pytest.mark.parametrize("space", spaces(), ids=lambda s: s.model)
     def test_space_roundtrip(self, space):
-        rebuilt = space_from_json(json.loads(json.dumps(space_to_json(space))))
+        rebuilt = space_from_json(json.loads(json.dumps(space.to_json())))
         assert rebuilt.model == space.model
 
     @pytest.mark.parametrize("space", spaces(), ids=lambda s: s.model)
@@ -47,13 +36,13 @@ class TestSpaceAndPoint:
         rng = np.random.default_rng(1)
         for _ in range(20):
             p = space.random_point(rng)
-            data = json.loads(json.dumps(point_to_json(space, p)))
-            q = point_from_json(space, data)
+            data = json.loads(json.dumps(space.point_to_json(p)))
+            q = space.point_from_json(data)
             assert space.dist(p, q) <= 1e-12
 
     def test_point_model_guard(self):
         with pytest.raises(DomainError):
-            point_from_json(EuclideanSpace(2), {"model": "hyperbolic", "coords": [1, 0, 0]})
+            EuclideanSpace(2).point_from_json({"model": "hyperbolic", "coords": [1, 0, 0]})
 
 
 class TestRepresentation:
@@ -81,8 +70,8 @@ class TestRepresentation:
     def test_roundtrip_preserves_action(self):
         rng = np.random.default_rng(2)
         for rho in self.reps():
-            data = json.loads(json.dumps(representation_to_json(rho)))
-            rebuilt = representation_from_json(data, check_samples=10)
+            data = json.loads(json.dumps(rho.to_json()))
+            rebuilt = Representation.from_json(data, check_samples=10)
             assert rebuilt.kind == rho.kind
             p = rho.space.random_point(rng)
             for g in [(1,), (-1,)]:

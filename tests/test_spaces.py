@@ -119,6 +119,16 @@ class TestGeodesicPoint:
             nested = space.geodesic_point(p, space.geodesic_point(p, q, t), s)
             assert space.dist(direct, nested) <= 1e-9
 
+    def test_cayley_rounding_past_breakpoint(self, cayley2):
+        # t * d = 3.0000000000000004 passes the vertex at arclength 3 by an ulp
+        p, q = cayley2.vertex_point((2, 1, 1, 1, -2, -2)), cayley2.vertex_point((1, 1, 1, -2))
+        assert cayley2.geodesic_point(p, q, 0.30000000000000004) == cayley2.vertex_point((2, 1, 1))
+
+    def test_tree_rounding_past_breakpoint(self):
+        path = MetricTree(list(range(11)), [(i, i + 1, 1.0) for i in range(10)])
+        m = path.geodesic_point(path.vertex_point(0), path.vertex_point(10), 0.30000000000000004)
+        assert m == path.vertex_point(3)
+
     def test_t_out_of_range(self, euclid2):
         p = euclid2.point([0, 0])
         with pytest.raises(DomainError):
@@ -251,7 +261,7 @@ class TestConstruction:
             MetricTree([0, 1], [(0, 1, 0.0)])
 
     def test_tree_json_roundtrip(self, caterpillar):
-        rebuilt = MetricTree.from_json_dict(caterpillar.to_json_dict())
+        rebuilt = MetricTree.from_json(caterpillar.to_json_dict())
         assert rebuilt.vertices == caterpillar.vertices
         assert rebuilt.edges == caterpillar.edges
 
