@@ -1,8 +1,10 @@
 """Simultaneous conjugacy of word lists in a free group.
 
-``solve`` searches for a single conjugator carrying a list (a_1, ..., a_N)
-onto (b_1, ..., b_N); in a free-group context the exact oracle turns an
-exhausted search radius into a definite NotConjugate verdict.
+``solve`` looks for a single conjugator carrying a list (a_1, ..., a_N)
+onto (b_1, ..., b_N).  In a free group the exact oracle decides it: it
+returns the shortlex-least conjugator or a definite NotConjugate verdict,
+and ``enumerated`` counts the candidate conjugators it checked against the
+lists (in a matrix context, the words of the shortlex ball it searched).
 
 Run: python3 demos/05_conjugacy.py
 """
@@ -25,7 +27,7 @@ def show(label, a_strs, b_strs):
     )
     cert = solve(inst)
     g = "-" if cert.conjugator is None else word_to_str(cert.conjugator)
-    print(f"{label}: {cert.verdict} (g = {g}, enumerated {cert.enumerated} words)")
+    print(f"{label}: {cert.verdict} (g = {g}, {cert.enumerated} candidates checked)")
     return inst, cert
 
 
@@ -35,7 +37,7 @@ show("a  !~ b ", ["a"], ["b"])
 show("componentwise yes, jointly no", ["a", "b"], ["a", "B"])
 show("rotations needing different conjugators", ["aab", "ba"], ["aba", "ab"])
 
-# the oracle alone, for a conjugator well beyond small search radii
+# the oracle alone, for a longer conjugator
 g = parse_word("ababab")
 a = parse_word("aab")
 b = parse_word("BABABA aab ababab".replace(" ", ""))

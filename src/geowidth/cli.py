@@ -44,7 +44,7 @@ from .equivariant import (
 )
 from .errors import ConfigError, DomainError, GeowidthError, PreconditionError
 from .harmonic import RelaxationConfig, estimate_width_constant, relax
-from .serialization import load_map, load_representation, map_to_json
+from .serialization import load_map, load_representation, malformed_input, map_to_json
 from .spaces import convexity_defect, quadrilateral_defect, space_from_json, triangle_defect
 
 DEFAULT_SEED = 0xCA70  # fixed so bare invocations reproduce
@@ -104,13 +104,12 @@ def _base_report(ns: argparse.Namespace) -> dict:
 
 def _build_space(ns):
     """The space of --model; a tree file holds the tree's JSON fields."""
-    data = {"dim": ns.dim}
-    if ns.tree_file:
-        with open(ns.tree_file) as f:
-            data.update(json.load(f))
-    elif ns.model == "tree":
-        raise ConfigError("--tree-file is required for the tree model")
-    return space_from_json({**data, "model": ns.model})
+    if not ns.tree_file:
+        if ns.model == "tree":
+            raise ConfigError("--tree-file is required for the tree model")
+        return space_from_json({"dim": ns.dim, "model": ns.model})
+    with open(ns.tree_file) as f, malformed_input(ns.tree_file):
+        return space_from_json({"dim": ns.dim, **json.load(f), "model": ns.model})
 
 
 def cmd_check_cat0(ns) -> int:
@@ -249,7 +248,8 @@ def cmd_orbit_report(ns) -> int:
         lists_b=_parse_word_list(ns.b, rep.alphabet_size),
         rep=rep,
     )
-    y = rep.space.point_from_json(json.loads(ns.basepoint))
+    with malformed_input("--basepoint"):
+        y = rep.space.point_from_json(json.loads(ns.basepoint))
     g = words.parse_word(ns.g, rep.alphabet_size) if ns.g else None
     rep_report: OrbitBoundReport = orbit_bound_report(inst, y, g)
     report = _base_report(ns)

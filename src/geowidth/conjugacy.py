@@ -1,9 +1,10 @@
 """Simultaneous conjugacy of finite lists of group elements.
 
-``solve`` runs the bounded shortlex search justified by the linear bound
-|g| <= C_star * sum(|a_i| + |b_i|) + C on the conjugator length; for free
-groups an exact oracle (cyclic reduction + rotation matching) upgrades
-"not found up to radius R" to a definite non-conjugacy verdict.
+In a free-group context ``solve`` is decided by ``free_group_oracle``, which
+reads the shortlex-least conjugator off the centralizer coset of one pair.
+In a matrix context it runs the bounded shortlex search justified by the
+linear bound |g| <= C_star * sum(|a_i| + |b_i|) + C on the conjugator
+length, and an exhausted radius gives NotConjugateUpTo.
 """
 
 from __future__ import annotations
@@ -47,10 +48,6 @@ class ConjugacyInstance:
         if self.policy not in (POLICY_INCREMENTAL, POLICY_BOUND):
             raise ConfigError(f"unknown radius policy {self.policy!r}")
 
-    @property
-    def size(self) -> int:
-        return len(self.lists_a)
-
     def length_sum(self) -> int:
         return sum(len(a) + len(b) for a, b in zip(self.lists_a, self.lists_b))
 
@@ -62,6 +59,11 @@ class ConjugacyInstance:
         if self.is_free_context():
             return w1 == w2
         return self.rep.evaluate(w1).equals(self.rep.evaluate(w2))
+
+    def conjugated_by(self, g: words.Word) -> bool:
+        """Whether b_i = g^-1 a_i g for every i."""
+        pairs = zip(self.lists_a, self.lists_b)
+        return all(self.elements_equal(words.conjugate(g, a), b) for a, b in pairs)
 
 
 @dataclass
@@ -84,162 +86,148 @@ def verify(g: words.Word, inst: ConjugacyInstance):
     """Check b_i = g^-1 a_i g for every i; returns (ok, transcript)."""
     words.check_alphabet(g, inst.alphabet_size)
     transcript = []
-    ok = True
     for i, (a, b) in enumerate(zip(inst.lists_a, inst.lists_b)):
         conj = words.conjugate(g, a)
         match = inst.elements_equal(conj, b)
-        transcript.append(
-            {
-                "index": i,
-                "conjugated": words.word_to_str(conj),
-                "expected": words.word_to_str(b),
-                "match": match,
-            }
-        )
-        ok = ok and match
-    return ok, transcript
+        conjugated, expected = words.word_to_str(conj), words.word_to_str(b)
+        transcript.append({"index": i, "conjugated": conjugated, "expected": expected, "match": match})
+    return all(t["match"] for t in transcript), transcript
 
 
-def search_radius(inst: ConjugacyInstance, previous: Optional[int] = None) -> int:
-    """Next search radius under the instance's policy."""
-    if inst.policy == POLICY_BOUND:
-        if inst.c_star is None or inst.c is None:
-            raise ConfigError("policy 'bound' requires the constants c_star and c")
-        return min(int(math.ceil(inst.c_star * inst.length_sum() + inst.c)), inst.max_radius)
-    if previous is None:
-        return min(1, inst.max_radius)
-    return min(max(2 * previous, 1), inst.max_radius)
-
-
-def _fast_verify(g: words.Word, inst: ConjugacyInstance) -> bool:
-    if inst.is_free_context():
-        return all(
-            words.conjugate(g, a) == b for a, b in zip(inst.lists_a, inst.lists_b)
-        )
-    return all(
-        inst.elements_equal(words.conjugate(g, a), b)
-        for a, b in zip(inst.lists_a, inst.lists_b)
-    )
-
-
-def solve(inst: ConjugacyInstance) -> ConjugacyCertificate:
-    """Shortlex search for a conjugator within the policy's radius.
-
-    Returns the shortlex-least conjugator when one exists within the
-    searched radius.  Free-group instances that exhaust the radius are
-    settled exactly by the oracle; otherwise the verdict is
-    NotConjugateUpTo(radius).
-    """
-    t0 = time.perf_counter()
-    if inst.policy == POLICY_BOUND:
-        cap = search_radius(inst)
-    else:
-        cap = inst.max_radius
-    oracle_cert = None
-    if inst.is_free_context():
-        # the exact oracle gates the enumeration: non-conjugate instances
-        # never pay for the full ball, and conjugate ones cap the radius
-        oracle_cert = free_group_oracle(inst)
-        if oracle_cert.verdict == VERDICT_NOT_CONJUGATE:
-            oracle_cert.seconds = time.perf_counter() - t0
-            return oracle_cert
-        cap = min(cap, len(oracle_cert.conjugator))
-    enumerated = 0
-    for g in words.enumerate_ball(inst.alphabet_size, cap):
-        enumerated += 1
-        if enumerated > inst.budget:
-            raise BudgetExceededError(
-                "conjugator search exceeded its enumeration budget",
-                enumerated=enumerated,
-                radius=cap,
-            )
-        if _fast_verify(g, inst):
-            _, transcript = verify(g, inst)
-            return ConjugacyCertificate(
-                verdict=VERDICT_CONJUGATE,
-                conjugator=g,
-                radius_searched=len(g),
-                transcript=transcript,
-                enumerated=enumerated,
-                seconds=time.perf_counter() - t0,
-            )
-    if oracle_cert is not None:
-        # conjugate, but the least conjugator exceeds the radius cap
-        oracle_cert.enumerated += enumerated
-        oracle_cert.seconds = time.perf_counter() - t0
-        return oracle_cert
+def _certificate(inst, t0, verdict, g=None, enumerated=0, radius=0) -> ConjugacyCertificate:
+    """A certificate timed from t0; a conjugator g brings its transcript and radius |g|."""
     return ConjugacyCertificate(
-        verdict=VERDICT_NOT_CONJUGATE_UP_TO,
-        radius_searched=cap,
+        verdict=verdict,
+        conjugator=g,
+        radius_searched=radius if g is None else len(g),
+        transcript=[] if g is None else verify(g, inst)[1],
         enumerated=enumerated,
         seconds=time.perf_counter() - t0,
     )
 
 
-def _oracle_m_max(inst: ConjugacyInstance, g0: words.Word, z: words.Word) -> int:
-    """Cancellation bound on the centralizer power in g = g0 * z^m."""
-    worst = max(
-        len(words.conjugate(g0, a)) + len(b) for a, b in zip(inst.lists_a, inst.lists_b)
-    )
-    return int(math.ceil(worst / (2 * len(z)))) + 1
+def search_radius(inst: ConjugacyInstance) -> int:
+    """Radius of the shortlex search under the instance's policy."""
+    if inst.policy == POLICY_INCREMENTAL:
+        return inst.max_radius
+    if inst.c_star is None or inst.c is None:
+        raise ConfigError("policy 'bound' requires the constants c_star and c")
+    return min(int(math.ceil(inst.c_star * inst.length_sum() + inst.c)), inst.max_radius)
+
+
+def solve(inst: ConjugacyInstance) -> ConjugacyCertificate:
+    """Decide a list instance and certify the verdict.
+
+    A free-group context is decided by :func:`free_group_oracle` whatever
+    the radius.  A matrix context returns the first conjugator in the
+    shortlex ball of radius :func:`search_radius`, or NotConjugateUpTo.
+    """
+    cap = search_radius(inst)
+    if inst.is_free_context():
+        return free_group_oracle(inst)
+    t0 = time.perf_counter()
+    enumerated = 0
+    for g in words.enumerate_ball(inst.alphabet_size, cap):
+        enumerated += 1
+        if enumerated > inst.budget:
+            raise BudgetExceededError(
+                "conjugator search exceeded its enumeration budget", enumerated=enumerated, radius=cap
+            )
+        if inst.conjugated_by(g):
+            return _certificate(inst, t0, VERDICT_CONJUGATE, g, enumerated)
+    return _certificate(inst, t0, VERDICT_NOT_CONJUGATE_UP_TO, enumerated=enumerated, radius=cap)
+
+
+def _oracle_m_max(inst: ConjugacyInstance, g0: words.Word, root: words.Word) -> int:
+    """Window [-M, M] holding m when S = {m} (see :func:`free_group_oracle`).
+
+    M = ceil(W / (2 tau)) + 1 with W = max_i (|c_i| + |b_i|) and tau = |root|,
+    the translation length of z = q root q^-1 on the Cayley tree T; q only
+    sets how far e lies from the axis A of z, so |z| is not the divisor.
+
+    Proof.  Some S_i = {m}, so b_i = z^-m c_i z^m and c_i does not commute
+    with z (else S_i is Z or empty).  c_i acts on T as a hyperbolic isometry
+    with an axis B, and d(y, c_i y) = ||c_i|| + 2 d(y, B) (Culler & Morgan,
+    Proc. LMS 1987).  The projection J of B onto A is a point or A n B, of
+    length l < ||c_i|| + tau: were it not, c_i z c_i^-1 z^-1 would fix the
+    end of J that both translate toward (after inverting either), but F acts
+    freely on T and c_i does not commute with z.  As d(y, B) >= d(proj_A y, J)
+    and the projections of e and z^m e lie |m| tau apart on A,
+    |c_i| + |b_i| = d(e, c_i e) + d(z^m e, c_i z^m e) >= 2 ||c_i|| +
+    2 (|m| tau - l) > 2 tau (|m| - 1), so |m| < W / (2 tau) + 1.
+    """
+    pairs = zip(inst.lists_a, inst.lists_b)
+    worst = max(len(words.conjugate(g0, a)) + len(b) for a, b in pairs)
+    return int(math.ceil(worst / (2 * len(root)))) + 1
 
 
 def free_group_oracle(inst: ConjugacyInstance) -> ConjugacyCertificate:
-    """Exact list-conjugacy decision in a free group.
+    """Exact list conjugacy in a free group F: the shortlex-least conjugator,
+    or NotConjugate, never an UpTo verdict.
 
-    Single-element conjugacy is solved by cyclic reduction and rotation
-    matching; all conjugators of the pivot pair form a coset g0 * <z> of
-    the centralizer, and the power range that can work for the remaining
-    pairs is bounded by cancellation.  Never returns an UpTo verdict.
+    Rotation matching finds a conjugator g0 of the pivot pair (a_k, b_k), the
+    first with a_k != e.  Every conjugator of the list lies in g0 * <z>, where
+    z = q root q^-1 generates the centralizer of b_k = q core_b q^-1 (Bridson
+    & Howie, "Conjugacy of finite subsets in hyperbolic groups", IJAC 2005).
+    Let S hold the m for which g0 * z^m conjugates the list, and S_i those
+    for pair i: z^-m c_i z^m = b_i with c_i = g0^-1 a_i g0.  Two values in
+    S_i make c_i commute with a power of z, hence with z, as centralizers in
+    F are cyclic; then the condition reads c_i = b_i for every m.  So each
+    S_i, and S, is all of Z, one value or empty.
+
+    The scan tries m by increasing |m| over the window of
+    :func:`_oracle_m_max`.  A hit at m != 0 is S = {m}; a hit at m = 0 is
+    S = {0}, or S = Z if g0 * z passes too; no hit is S empty.
+
+    If S = Z, minimise |g0 z^m| = d(x, z^m e) with x = g0^-1 e.  z translates
+    its axis A by tau >= 1; if x and z^m e lie k and h from A, over the
+    positions s and s0 + m tau, then |g0 z^m| = k + h + |s - s0 - m tau| where
+    these differ and at most k + h at the one m where they may agree.  So
+    the length falls strictly to a minimum at one m or two adjacent ones,
+    then rises strictly: walk downhill from m = 0 both ways, and break a tie
+    by shortlex order.  ``enumerated`` counts the candidates checked.
     """
     t0 = time.perf_counter()
     if not inst.is_free_context():
         raise CapabilityError("the exact oracle requires a free-group context")
-
-    def certificate(verdict, g=None, checked=0):
-        transcript = []
-        if g is not None:
-            _, transcript = verify(g, inst)
-        return ConjugacyCertificate(
-            verdict=verdict,
-            conjugator=g,
-            radius_searched=len(g) if g is not None else 0,
-            transcript=transcript,
-            enumerated=checked,
-            seconds=time.perf_counter() - t0,
-        )
-
     pivot = next((i for i, a in enumerate(inst.lists_a) if a), None)
     if pivot is None:
         # all a_i trivial: conjugate iff all b_i trivial (conjugator e)
         if all(not b for b in inst.lists_b):
-            return certificate(VERDICT_CONJUGATE, g=())
-        return certificate(VERDICT_NOT_CONJUGATE)
-    a_k, b_k = inst.lists_a[pivot], inst.lists_b[pivot]
-    p, core_a = words.cyclic_reduction(a_k)
-    q, core_b = words.cyclic_reduction(b_k)
-    if len(core_a) != len(core_b):
-        return certificate(VERDICT_NOT_CONJUGATE)
-    checked = 0
+            return _certificate(inst, t0, VERDICT_CONJUGATE, g=())
+        return _certificate(inst, t0, VERDICT_NOT_CONJUGATE)
+    p, core_a = words.cyclic_reduction(inst.lists_a[pivot])
+    q, core_b = words.cyclic_reduction(inst.lists_b[pivot])
+    matches = (r for r, rotated in words.cyclic_rotations(core_a) if rotated == core_b)
+    r = next(matches, None) if len(core_a) == len(core_b) else None
+    if r is None:
+        return _certificate(inst, t0, VERDICT_NOT_CONJUGATE)
+    # g0 conjugates a_k to b_k:  g0 = p * u * q^-1 with u = core_a[:r]
     q_inv = words.inverse(q)
-    for r, rotated in words.cyclic_rotations(core_a):
-        if rotated != core_b:
-            continue
-        # g0 conjugates a_k to b_k:  g0 = p * u * q^-1 with u = core_a[:r]
-        g0 = words.multiply(words.multiply(p, core_a[:r]), q_inv)
-        z = words.multiply(
-            words.multiply(q, words.primitive_root(core_b)), q_inv
-        )  # generator of the centralizer of b_k, conjugator-side
-        m_max = _oracle_m_max(inst, g0, words.primitive_root(core_b))
-        # increasing |m| keeps the returned conjugator short, which in turn
-        # caps the radius of the shortlex search in solve()
-        for m in sorted(range(-m_max, m_max + 1), key=lambda k: (abs(k), k)):
-            g = words.multiply(g0, words.power(z, m))
+    root = words.primitive_root(core_b)
+    g0 = words.multiply(words.multiply(p, core_a[:r]), q_inv)
+    z = words.multiply(words.multiply(q, root), q_inv)
+    z_inv = words.inverse(z)
+    checked = 1
+    if inst.conjugated_by(g0):
+        checked += 1
+        if not inst.conjugated_by(words.multiply(g0, z)):
+            return _certificate(inst, t0, VERDICT_CONJUGATE, g0, checked)
+        least = g0
+        for step in (z, z_inv):
+            g = g0
+            while len(nxt := words.multiply(g, step)) <= len(g):
+                g = nxt
+                least = min(least, g, key=words.shortlex_key)
+        return _certificate(inst, t0, VERDICT_CONJUGATE, least, checked)
+    down = up = g0
+    for _ in range(_oracle_m_max(inst, g0, root)):
+        down, up = words.multiply(down, z_inv), words.multiply(up, z)
+        for g in (down, up):
             checked += 1
-            if _fast_verify(g, inst):
-                return certificate(VERDICT_CONJUGATE, g=g, checked=checked)
-        break  # all rotation solutions lie in the single coset g0 * <z>
-    return certificate(VERDICT_NOT_CONJUGATE, checked=checked)
+            if inst.conjugated_by(g):
+                return _certificate(inst, t0, VERDICT_CONJUGATE, g, checked)
+    return _certificate(inst, t0, VERDICT_NOT_CONJUGATE, enumerated=checked)
 
 
 @dataclass

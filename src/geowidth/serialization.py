@@ -14,11 +14,21 @@ file::
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 
 from . import words
 from .equivariant import Edge, EquivariantMap, FundamentalGraph
-from .errors import DomainError
+from .errors import ConfigError, DomainError
 from .isometries import Representation
+
+
+@contextmanager
+def malformed_input(source: str):
+    """Report JSON from source that does not parse or lacks a field as a ConfigError."""
+    try:
+        yield
+    except (json.JSONDecodeError, KeyError, TypeError) as e:
+        raise ConfigError(f"malformed input {source}: {type(e).__name__}: {e}") from e
 
 
 def map_to_json(u: EquivariantMap) -> dict:
@@ -67,7 +77,7 @@ def map_from_json(data: dict, rho: Representation | None = None) -> EquivariantM
 
 
 def load_map(path: str, rho: Representation | None = None) -> EquivariantMap:
-    with open(path) as f:
+    with open(path) as f, malformed_input(path):
         return map_from_json(json.load(f), rho)
 
 
@@ -77,7 +87,7 @@ def save_map(path: str, u: EquivariantMap) -> None:
 
 
 def load_representation(path: str) -> Representation:
-    with open(path) as f:
+    with open(path) as f, malformed_input(path):
         return Representation.from_json(json.load(f))
 
 

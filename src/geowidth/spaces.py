@@ -318,13 +318,6 @@ class HyperbolicPlane(Space):
 
     # tangent-space helpers used by the harmonic relaxation ----------------
 
-    def log(self, p, q) -> np.ndarray:
-        """Tangent vector at p pointing to q with Riemannian norm dist(p, q)."""
-        d = self.dist(p, q)
-        if d < 1e-15:
-            return np.zeros(3)
-        return d * (q - math.cosh(d) * p) / math.sinh(d)
-
     def exp(self, p, v: np.ndarray) -> np.ndarray:
         nrm2 = -(self.minkowski(v, v))
         if nrm2 <= 0.0:
@@ -732,10 +725,18 @@ class CayleyTree(_TreeSpace):
     def validate_point(self, p) -> None:
         if not isinstance(p, CayleyPoint):
             raise ModelMismatchError(f"expected a CayleyPoint, got {p!r}")
-        words.check_alphabet(p.word, self.rank)
+        last = 0
+        for x in p.word:
+            if abs(x) > self.rank:
+                words.check_alphabet(p.word, self.rank)  # raises AlphabetMismatchError
+            if x == -last:
+                raise InvalidPointError("vertex word must be freely reduced")
+            last = x
         if p.letter != 0:
             if abs(p.letter) > self.rank:
                 raise InvalidPointError(f"invalid letter {p.letter}")
+            if p.letter == -last:
+                raise InvalidPointError("edge point must be anchored at its endpoint nearer e")
             if not (0.0 < p.t < 1.0):
                 raise DomainError("interior edge parameter must be in (0, 1)")
 

@@ -214,6 +214,24 @@ class TestConjugacy:
         assert "contradicts" in err
 
 
+class TestMalformedInput:
+    @pytest.mark.parametrize("text", ['{"vertices": [0,1', '{"representation": {}}'], ids=["not-json", "missing-key"])
+    @pytest.mark.parametrize("entry", ["tree-file", "map", "rep", "basepoint"])
+    def test_config_exit(self, capsys, tmp_path, free_rep_file, entry, text):
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        argv = {
+            "tree-file": ["check-cat0", "--model", "tree", "--tree-file", str(path), "--trials", "3"],
+            "map": ["width", "--u", str(path), "--v", str(path)],
+            "rep": ["estimate-cstar", "--rep", str(path), "--trials", "3"],
+            "basepoint": ["orbit-report", "--rep", free_rep_file, "--a", "ab", "--b", "ba", "--basepoint", text],
+        }[entry]
+        code, out, err = run(capsys, argv)
+        assert code == 65
+        assert out == ""
+        assert "Traceback" not in err
+
+
 class TestOrbitReport:
     def test_cayley_basepoint(self, capsys, free_rep_file):
         code, out, _ = run(

@@ -1,4 +1,5 @@
-import itertools
+import functools
+import random
 
 import pytest
 
@@ -28,9 +29,14 @@ from geowidth.words import (
 )
 
 
+@functools.lru_cache(maxsize=None)
+def ball(rank, radius):
+    return tuple(enumerate_ball(rank, radius))
+
+
 def brute_force_least_conjugator(inst, radius):
     """Exhaustive shortlex scan, the independent reference for solve()."""
-    for g in enumerate_ball(inst.alphabet_size, radius):
+    for g in ball(inst.alphabet_size, radius):
         if all(conjugate(g, a) == b for a, b in zip(inst.lists_a, inst.lists_b)):
             return g
     return None
@@ -82,13 +88,13 @@ class TestSearchRadius:
         with pytest.raises(ConfigError):
             search_radius(inst)
 
-    def test_incremental_doubles(self):
-        inst = free_instance(["a"], ["a"])
-        r = search_radius(inst)
-        assert r == 1
-        assert search_radius(inst, r) == 2
-        assert search_radius(inst, 8) == 16
-        assert search_radius(inst, 16) == 16  # capped at max_radius
+    def test_incremental_is_max_radius(self):
+        inst = free_instance(["a"], ["a"], max_radius=9)
+        assert search_radius(inst) == inst.max_radius
+
+    def test_solve_bound_requires_constants_in_free_context(self):
+        with pytest.raises(ConfigError):
+            solve(free_instance(["ab"], ["ba"], policy=POLICY_BOUND))
 
 
 class TestSolveFree:
@@ -131,8 +137,6 @@ class TestSolveFree:
         assert cert.conjugator == ()
 
     def test_random_instances_match_brute_force(self):
-        import random
-
         rng = random.Random(5)
         pool = [w for w in enumerate_ball(2, 3) if w]
         for _ in range(60):
@@ -149,9 +153,28 @@ class TestSolveFree:
                 assert cert.verdict == VERDICT_NOT_CONJUGATE
             else:
                 assert cert.verdict == VERDICT_CONJUGATE
-                assert shortlex_key(cert.conjugator) <= shortlex_key(ref)
+                assert shortlex_key(cert.conjugator) == shortlex_key(ref)
                 ok, _ = verify(cert.conjugator, inst)
                 assert ok
+
+    def test_agrees_with_oracle_without_ball(self, monkeypatch):
+        def no_ball(*args):
+            raise AssertionError("free contexts are decided without enumerating the ball")
+
+        monkeypatch.setattr("geowidth.words.enumerate_ball", no_ball)
+        for a_strs, b_strs in [(["aab", "ba"], ["Baabb", "ab"]), (["a", "b"], ["a", "B"]), (["ab"], ["ba"])]:
+            inst = free_instance(a_strs, b_strs)
+            cert, oracle = solve(inst), free_group_oracle(inst)
+            assert (cert.verdict, cert.conjugator) == (oracle.verdict, oracle.conjugator)
+
+    def test_bound_policy_does_not_cap_free_instances(self):
+        # the least conjugator (ab)^2 b is longer than the bound's radius 1
+        g = parse_word("ababb")
+        a = (parse_word("aab"), parse_word("ba"))
+        inst = ConjugacyInstance(2, a, tuple(conjugate(g, w) for w in a), policy=POLICY_BOUND, c_star=0.0, c=1.0)
+        cert = solve(inst)
+        assert cert.verdict == VERDICT_CONJUGATE
+        assert cert.conjugator == brute_force_least_conjugator(inst, 5)
 
 
 class TestOracle:
@@ -197,6 +220,67 @@ class TestOracle:
         inst = free_instance(["a"], ["a"], rep=rho)
         with pytest.raises(CapabilityError):
             free_group_oracle(inst)
+
+
+def random_word(rng, rank, length, cyclic=False):
+    while True:
+        w = []
+        while len(w) < length:
+            x = rng.randint(1, rank) * rng.choice((1, -1))
+            if not w or w[-1] != -x:
+                w.append(x)
+        if not cyclic or len(w) < 2 or w[0] != -w[-1]:
+            return tuple(w)
+
+
+def stress_lists(rng, rank, kind):
+    """A list of 1-3 words of one kind and a conjugator for it."""
+    size = rng.randint(1, 3)
+    g = random_word(rng, rank, rng.randint(0, 6))
+    if kind == "centralizer":
+        # powers of one root under a conjugating prefix: S is all of Z or empty
+        root = random_word(rng, rank, rng.randint(1, 3), cyclic=True)
+        w = random_word(rng, rank, rng.randint(0, 4))
+        powers = [root * rng.randint(1, 4) for _ in range(size)]
+        powers = [inverse(u) if rng.random() < 0.3 else u for u in powers]
+        a_list = [multiply(multiply(w, u), inverse(w)) for u in powers]
+    elif kind == "long_prefix":
+        # a cyclically reduced pivot under a long g gives b_1 a long q
+        a_list = [random_word(rng, rank, rng.randint(1, 6), cyclic=True)]
+        a_list += [random_word(rng, rank, rng.randint(0, 8)) for _ in range(size - 1)]
+        g = random_word(rng, rank, 6)
+    else:
+        a_list = [random_word(rng, rank, rng.randint(0, 8)) for _ in range(size)]
+    return tuple(a_list), g
+
+
+class TestOracleStress:
+    """Seeded referee: the oracle against an exhaustive shortlex scan."""
+
+    @pytest.mark.parametrize("kind", ["generic", "centralizer", "long_prefix"])
+    def test_matches_exhaustive_scan(self, kind):
+        rng = random.Random(f"oracle-{kind}")
+        for n in range(70):
+            rank, radius = (2, 7) if n % 4 else (3, 6)
+            a_list, g = stress_lists(rng, rank, kind)
+            b_list = [conjugate(g, a) for a in a_list]
+            # its twin, mostly not conjugate: one b_j conjugated on its own, or replaced
+            j = rng.randrange(len(a_list))
+            twin = list(b_list)
+            if n % 2:
+                twin[j] = conjugate(random_word(rng, rank, rng.randint(1, 4)), twin[j])
+            else:
+                twin[j] = random_word(rng, rank, len(twin[j]))
+            for b in (b_list, twin):
+                inst = ConjugacyInstance(rank, a_list, tuple(b))
+                cert = solve(inst)
+                ref = brute_force_least_conjugator(inst, radius)
+                if ref is None:
+                    assert cert.verdict == VERDICT_NOT_CONJUGATE or len(cert.conjugator) > radius
+                else:
+                    assert cert.verdict == VERDICT_CONJUGATE and cert.conjugator == ref
+                if cert.conjugator is not None:
+                    assert verify(cert.conjugator, inst)[0]
 
 
 class TestMatrixContext:

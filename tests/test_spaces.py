@@ -5,6 +5,7 @@ import pytest
 
 from geowidth.errors import DomainError, InvalidPointError, ModelMismatchError
 from geowidth.spaces import (
+    CayleyPoint,
     CayleyTree,
     EuclideanSpace,
     HyperbolicPlane,
@@ -264,6 +265,20 @@ class TestConstruction:
         rebuilt = MetricTree.from_json(caterpillar.to_json_dict())
         assert rebuilt.vertices == caterpillar.vertices
         assert rebuilt.edges == caterpillar.edges
+
+    @pytest.mark.parametrize(
+        "point",
+        [
+            CayleyPoint(word=(1,), letter=-1, t=0.5),  # canonical form: edge_point((), 1, 0.5)
+            CayleyPoint(word=(1, -1)),  # the identity vertex, unreduced
+        ],
+    )
+    def test_cayley_non_canonical_point(self, point):
+        space = CayleyTree(2)
+        with pytest.raises(InvalidPointError):
+            space.validate_point(point)
+        with pytest.raises(InvalidPointError):
+            space.dist(point, space.vertex_point(()))
 
     def test_hyperbolic_bad_point(self, hyperbolic):
         with pytest.raises(InvalidPointError):
