@@ -21,8 +21,8 @@ Exit codes: 0 success / conjugate; 2 property violation; 3 not conjugate;
 from __future__ import annotations
 
 import argparse
-import io
 import json
+import math
 import sys
 
 import numpy as np
@@ -44,7 +44,7 @@ from .equivariant import (
 )
 from .errors import ConfigError, DomainError, GeowidthError, PreconditionError
 from .harmonic import RelaxationConfig, estimate_width_constant, relax
-from .serialization import load_map, load_representation, malformed_input, map_to_json
+from .serialization import load_map, load_representation, malformed_input, map_to_json, parse_json
 from .spaces import convexity_defect, quadrilateral_defect, space_from_json, triangle_defect
 
 DEFAULT_SEED = 0xCA70  # fixed so bare invocations reproduce
@@ -67,34 +67,21 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _emit(report: dict, fmt: str) -> None:
-    if fmt == "json":
-        sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    elif fmt == "csv":
-        _emit_csv(report)
-    else:
-        _emit_human(report)
-
-
-def _emit_csv(report: dict) -> None:
+    """Write the report as json, or as its scalar keys and then its table in csv or human form."""
     out = sys.stdout
-    table = report.pop("table", None)
+    if fmt == "json":
+        out.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
+        return
+    table = report.pop("table", None) or []
     for key in sorted(report):
-        out.write(f"# {key}={json.dumps(report[key], sort_keys=True)}\n")
-    if table:
+        value = json.dumps(report[key], sort_keys=True)
+        out.write(f"# {key}={value}\n" if fmt == "csv" else f"{key}: {value}\n")
+    if table and fmt == "csv":
         cols = sorted(table[0])
         out.write(",".join(cols) + "\n")
-        for row in table:
-            out.write(",".join(json.dumps(row.get(c)) for c in cols) + "\n")
-
-
-def _emit_human(report: dict) -> None:
-    out = sys.stdout
-    table = report.pop("table", None)
-    for key in sorted(report):
-        out.write(f"{key}: {json.dumps(report[key], sort_keys=True)}\n")
-    if table:
-        for row in table:
-            out.write("  " + json.dumps(row, sort_keys=True) + "\n")
+        out.writelines(",".join(json.dumps(row.get(c)) for c in cols) + "\n" for row in table)
+    else:
+        out.writelines("  " + json.dumps(row, sort_keys=True) + "\n" for row in table)
 
 
 def _base_report(ns: argparse.Namespace) -> dict:
@@ -109,7 +96,7 @@ def _build_space(ns):
             raise ConfigError("--tree-file is required for the tree model")
         return space_from_json({"dim": ns.dim, "model": ns.model})
     with open(ns.tree_file) as f, malformed_input(ns.tree_file):
-        return space_from_json({"dim": ns.dim, **json.load(f), "model": ns.model})
+        return space_from_json({"dim": ns.dim, **parse_json(f.read()), "model": ns.model})
 
 
 def cmd_check_cat0(ns) -> int:
@@ -177,10 +164,7 @@ def cmd_convexity(ns) -> int:
 
 def cmd_harmonic(ns) -> int:
     u0 = load_map(ns.map)
-    cfg = RelaxationConfig(
-        max_iterations=ns.max_iterations, displacement_tolerance=ns.tolerance
-    )
-    result = relax(u0, cfg)
+    result = relax(u0, RelaxationConfig(max_iterations=ns.max_iterations, displacement_tolerance=ns.tolerance))
     report = _base_report(ns)
     report.update(
         {
@@ -249,7 +233,7 @@ def cmd_orbit_report(ns) -> int:
         rep=rep,
     )
     with malformed_input("--basepoint"):
-        y = rep.space.point_from_json(json.loads(ns.basepoint))
+        y = rep.space.point_from_json(parse_json(ns.basepoint))
     g = words.parse_word(ns.g, rep.alphabet_size) if ns.g else None
     rep_report: OrbitBoundReport = orbit_bound_report(inst, y, g)
     report = _base_report(ns)
@@ -276,13 +260,20 @@ def _at_least(minimum: int):
     return count
 
 
+def finite(text: str) -> float:
+    """An argparse type: a finite float."""
+    if not math.isfinite(value := float(text)):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="geowidth", description=__doc__.split("\n\n")[0])
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+        p.add_argument("--seed", type=_at_least(0), default=DEFAULT_SEED)
         p.add_argument("--format", choices=["json", "csv", "human"], default="json")
 
     p = sub.add_parser("check-cat0", help="comparison-inequality property suite")
@@ -311,7 +302,7 @@ def build_parser() -> _Parser:
     common(p)
     p.add_argument("--map", required=True)
     p.add_argument("--max-iterations", type=int, default=2000)
-    p.add_argument("--tolerance", type=float, default=1e-10)
+    p.add_argument("--tolerance", type=finite, default=1e-10)
     p.set_defaults(func=cmd_harmonic)
 
     p = sub.add_parser("estimate-cstar", help="empirical width-inequality constant")
@@ -328,8 +319,8 @@ def build_parser() -> _Parser:
     ps.add_argument("--a", required=True, help="comma-separated words, e.g. 'xy,yX'")
     ps.add_argument("--b", required=True)
     ps.add_argument("--policy", choices=["incremental", "bound"], default="incremental")
-    ps.add_argument("--cstar", type=float)
-    ps.add_argument("--c", type=float)
+    ps.add_argument("--cstar", type=finite)
+    ps.add_argument("--c", type=finite)
     ps.add_argument("--max-radius", type=int, default=16)
     ps.add_argument("--rep", help="representation file for matrix-group contexts")
     ps.add_argument("--timings", action="store_true", help="include wall-clock seconds")
@@ -355,7 +346,7 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         return ns.func(ns)
-    except (ConfigError,) as e:
+    except ConfigError as e:
         sys.stderr.write(f"config error: {e}\n")
         return EXIT_CONFIG
     except PreconditionError as e:

@@ -7,9 +7,10 @@ convex objective
     F_v(y) = sum_j w_j d^2(y, p_j)  +  sum_k w_k d^2(y, A_k y),
 
 where the p_j are the rho-translated neighbour images and the A_k come
-from loop edges.  The inner solver belongs to the model space
-(``Space.local_min`` in :mod:`geowidth.spaces`), as does the
-non-elementarity precondition of the width-constant estimator.
+from loop edges.  A run evaluates each edge label once, into a term table,
+and builds one ``EquivariantMap`` per sweep.  The inner solver belongs to
+the model space (``Space.local_min`` in :mod:`geowidth.spaces`), as does
+the non-elementarity precondition of the width-constant estimator.
 """
 
 from __future__ import annotations
@@ -35,17 +36,12 @@ from .isometries import Representation
 class RelaxationConfig:
     max_iterations: int = 2000
     displacement_tolerance: float = 1e-10
-    inner_tolerance: float = 1e-12
-    # Armijo parameters for the hyperbolic inner loop
-    armijo_backtrack: float = 0.5
-    armijo_slope: float = 1e-4
-    max_inner_iterations: int = 500
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise DomainError("max_iterations must be >= 1")
-        if self.displacement_tolerance <= 0.0 or self.inner_tolerance <= 0.0:
-            raise DomainError("tolerances must be positive")
+        if not self.displacement_tolerance > 0.0:  # NaN included
+            raise DomainError("displacement_tolerance must be positive")
 
 
 @dataclass
@@ -58,40 +54,43 @@ class HarmonicResult:
     energy_trace: list = field(default_factory=list)
 
 
-def _local_terms(u: EquivariantMap, vertex):
-    """(weight, target_point) and (weight, isometry) terms of F_vertex."""
-    point_terms = []
-    iso_terms = []
-    rho = u.rho
+def _term_table(u: EquivariantMap) -> dict:
+    """Per vertex, in edge order: ([(weight, isometry, neighbour)], [(weight, loop isometry)]).
+
+    Each label is evaluated once; at an edge's target its isometry is inverted.
+    """
+    table = {v: ([], []) for v in u.graph.vertices}
     for e in u.graph.edges:
         w = 1.0 / e.length
-        if e.src == vertex and e.tgt == vertex:
-            iso_terms.append((w, rho.evaluate(e.label)))
-        elif e.src == vertex:
-            point_terms.append((w, rho.act(e.label, u.images[e.tgt])))
-        elif e.tgt == vertex:
-            point_terms.append((w, rho.evaluate(e.label).inverse().apply(u.images[e.src])))
-    return point_terms, iso_terms
+        g = u.rho.evaluate(e.label)
+        if e.src == e.tgt:
+            table[e.src][1].append((w, g))
+        else:
+            table[e.src][0].append((w, g, e.tgt))
+            table[e.tgt][0].append((w, g.inverse(), e.src))
+    return table
+
+
+def _local_terms(terms, images: dict):
+    """(weight, target_point) and (weight, isometry) terms of F_vertex at the current images."""
+    point_terms, iso_terms = terms
+    return [(w, g.apply(images[n])) for w, g, n in point_terms], iso_terms
 
 
 def relax(u0: EquivariantMap, cfg: RelaxationConfig | None = None) -> HarmonicResult:
-    """Cyclic coordinate descent to an equivariant harmonic map."""
-    if cfg is None:
-        cfg = RelaxationConfig()
+    """Cyclic coordinate descent to a harmonic map: one term table per run, one map per sweep."""
+    cfg = cfg or RelaxationConfig()
     space = u0.space
-    u = EquivariantMap(u0.graph, u0.rho, dict(u0.images))
-    trace = [energy(u)]
+    table = _term_table(u0)
+    images = dict(u0.images)
+    trace = [energy(u0)]
     converged = False
-    iterations = 0
-    order = list(u0.graph.vertices)
-    for it in range(cfg.max_iterations):
-        iterations = it + 1
+    for iterations in range(1, cfg.max_iterations + 1):
         max_disp = 0.0
-        images = dict(u.images)
-        for v in order:
-            point_terms, iso_terms = _local_terms(u, v)
+        for v, terms in table.items():
+            point_terms, iso_terms = _local_terms(terms, images)
             y_old = images[v]
-            y_new = space.local_min(y_old, point_terms, iso_terms, cfg)
+            y_new = space.local_min(y_old, point_terms, iso_terms)
             # guard: never accept an increase of the local objective
             if space.local_value(y_new, point_terms, iso_terms) > space.local_value(
                 y_old, point_terms, iso_terms
@@ -99,7 +98,7 @@ def relax(u0: EquivariantMap, cfg: RelaxationConfig | None = None) -> HarmonicRe
                 y_new = y_old
             max_disp = max(max_disp, space.dist(y_old, y_new))
             images[v] = y_new
-            u = EquivariantMap(u0.graph, u0.rho, images)
+        u = EquivariantMap(u0.graph, u0.rho, images)
         trace.append(energy(u))
         if max_disp < cfg.displacement_tolerance:
             converged = True
@@ -129,10 +128,9 @@ def stationarity_probe(
     u = result.map
     space = u.space
     rng = np.random.default_rng(seed)
-    base = energy(u)
     worst = 0.0
-    for v in u.graph.vertices:
-        point_terms, iso_terms = _local_terms(u, v)
+    for v, terms in _term_table(u).items():
+        point_terms, iso_terms = _local_terms(terms, u.images)
         f0 = space.local_value(u.images[v], point_terms, iso_terms)
         for _ in range(directions):
             target = space.random_point(rng)

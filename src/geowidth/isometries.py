@@ -80,8 +80,8 @@ class EuclideanIsometry(Isometry):
     def __init__(self, matrix, translation):
         self.matrix = np.asarray(matrix, dtype=float)
         self.translation = np.asarray(translation, dtype=float)
-        n = self.translation.shape[0]
-        if self.matrix.shape != (n, n):
+        n = self.translation.size
+        if self.translation.shape != (n,) or self.matrix.shape != (n, n):
             raise DomainError("matrix/translation dimension mismatch")
         if not np.allclose(self.matrix @ self.matrix.T, np.eye(n), atol=1e-9):
             raise DomainError("matrix is not orthogonal")
@@ -125,7 +125,7 @@ class HyperbolicIsometry(Isometry):
         if m.shape != (2, 2):
             raise DomainError("hyperbolic isometries are 2x2 matrices")
         det = float(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
-        if det <= 0.0:
+        if not det > 0.0:  # NaN included
             raise DomainError("matrix must have positive determinant")
         m = m / math.sqrt(det)
         # A and -A act identically; fix the sign for testable equality
@@ -337,7 +337,7 @@ class Representation:
             for p, q in zip(pts, pts[1:]):
                 d0 = self.space.dist(p, q)
                 d1 = self.space.dist(g.apply(p), g.apply(q))
-                if abs(d0 - d1) > 1e-9 * max(1.0, d0):
+                if not abs(d0 - d1) <= 1e-9 * max(1.0, d0):  # NaN included
                     raise DomainError("generator does not preserve distances")
 
     @classmethod

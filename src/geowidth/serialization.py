@@ -24,11 +24,22 @@ from .isometries import Representation
 
 @contextmanager
 def malformed_input(source: str):
-    """Report JSON from source that does not parse or lacks a field as a ConfigError."""
+    """Report JSON from source that does not parse, lacks a field or mistypes one as a ConfigError."""
     try:
         yield
-    except (json.JSONDecodeError, KeyError, TypeError) as e:
+    except DomainError:  # a value out of range keeps its own exit code
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError) as e:
         raise ConfigError(f"malformed input {source}: {type(e).__name__}: {e}") from e
+
+
+def _refuse_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
+def parse_json(text: str):
+    """Strict JSON: the NaN and Infinity that json accepts by default are refused."""
+    return json.loads(text, parse_constant=_refuse_constant)
 
 
 def map_to_json(u: EquivariantMap) -> dict:
@@ -78,7 +89,7 @@ def map_from_json(data: dict, rho: Representation | None = None) -> EquivariantM
 
 def load_map(path: str, rho: Representation | None = None) -> EquivariantMap:
     with open(path) as f, malformed_input(path):
-        return map_from_json(json.load(f), rho)
+        return map_from_json(parse_json(f.read()), rho)
 
 
 def save_map(path: str, u: EquivariantMap) -> None:
@@ -88,7 +99,7 @@ def save_map(path: str, u: EquivariantMap) -> None:
 
 def load_representation(path: str) -> Representation:
     with open(path) as f, malformed_input(path):
-        return Representation.from_json(json.load(f))
+        return Representation.from_json(parse_json(f.read()))
 
 
 def save_representation(path: str, rho: Representation) -> None:

@@ -12,11 +12,12 @@ Each model owns its behaviour: ``dist``, ``geodesic_point`` and
 ``random_point``; its JSON form and that of its points (``to_json``,
 ``point_to_json``, ``point_from_json``, and ``space_from_json``, which
 turns a JSON ``"model"`` into its class); the local minimiser that
-harmonic relaxation runs on it (``local_min``); and the precondition of
-the width-constant estimator (``check_not_boundary_fixing``).  An
-operation a model does not support raises ``CapabilityError``.  The two
-tree models share one geodesic walk and differ only in their anchors,
-vertex distance and vertex path.
+harmonic relaxation runs on it (``local_min(y0, point_terms, iso_terms)``,
+whose solver constants are module constants); and the precondition of the
+width-constant estimator (``check_not_boundary_fixing``).  An operation a
+model does not support raises ``CapabilityError``.  The two tree models
+share one geodesic walk and one local search; they differ only in their
+anchors, vertex distance, vertex path and search candidates.
 
 JSON forms::
 
@@ -49,6 +50,11 @@ from .errors import CapabilityError, DomainError, InvalidPointError, ModelMismat
 TOL = 1e-9
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # golden-section step ratio
+
+INNER_TOLERANCE = 1e-12  # local_min: least relative decrease; golden-section bracket
+ARMIJO_BACKTRACK = 0.5  # step shrink factor of the hyperbolic line search
+ARMIJO_SLOPE = 1e-4  # sufficient-decrease constant of that line search
+MAX_INNER_ITERATIONS = 500  # gradient steps per hyperbolic update
 
 
 def golden_section(f: Callable[[float], float], a: float, b: float, tol: float = 1e-10) -> float:
@@ -157,7 +163,7 @@ class Space:
             total += w * self.dist(y, a.apply(y)) ** 2
         return total
 
-    def local_min(self, y0, point_terms, iso_terms, cfg):
+    def local_min(self, y0, point_terms, iso_terms):
         """A minimiser of ``local_value``, started from y0 (one relaxation update)."""
         raise CapabilityError(f"relaxation not supported on model {self.model!r}")
 
@@ -184,7 +190,9 @@ class EuclideanSpace(Space):
         return {"model": self.model, "dim": self.dim}
 
     def point(self, coords) -> np.ndarray:
-        x = np.asarray(coords, dtype=float)
+        x = np.asarray(coords, dtype=float)  # a JSON null becomes NaN here
+        if not np.all(np.isfinite(x)):
+            raise DomainError("coordinates must be finite")
         self.validate_point(x)
         return x
 
@@ -212,7 +220,7 @@ class EuclideanSpace(Space):
     def random_point(self, rng: np.random.Generator):
         return rng.standard_normal(self.dim)
 
-    def local_min(self, y0, point_terms, iso_terms, cfg):
+    def local_min(self, y0, point_terms, iso_terms):
         """Exact weighted least squares."""
         n = self.dim
         rows, rhs = [], []
@@ -272,7 +280,7 @@ class HyperbolicPlane(Space):
 
     def normalize(self, x: np.ndarray) -> np.ndarray:
         m = self.minkowski(x, x)
-        if m <= 0.0 or x[0] <= 0.0:
+        if not (m > 0.0 and x[0] > 0.0):  # NaN included
             raise InvalidPointError("point is not on the upper hyperboloid sheet")
         return x / math.sqrt(m)
 
@@ -344,13 +352,13 @@ class HyperbolicPlane(Space):
         g = -(_J @ ambient) + float(y @ ambient) * y
         return g
 
-    def local_min(self, y0, point_terms, iso_terms, cfg):
+    def local_min(self, y0, point_terms, iso_terms):
         """Riemannian gradient descent with Armijo backtracking."""
         iso_mats = [(w, a.so21_matrix()) for w, a in iso_terms]
         y = y0
         f = self.local_value(y, point_terms, iso_terms)
         step = 0.25 / max(sum(w for w, _ in point_terms) + sum(w for w, _ in iso_terms), 1e-12)
-        for _ in range(cfg.max_inner_iterations):
+        for _ in range(MAX_INNER_ITERATIONS):
             g = self._local_grad(y, point_terms, iso_mats)
             gnorm = self.tangent_norm(g)
             if gnorm < 1e-9:
@@ -360,16 +368,16 @@ class HyperbolicPlane(Space):
             while t * gnorm > 1e-16:
                 y_try = self.exp(y, -t * g)
                 f_try = self.local_value(y_try, point_terms, iso_terms)
-                if f_try <= f - cfg.armijo_slope * t * gnorm * gnorm:
+                if f_try <= f - ARMIJO_SLOPE * t * gnorm * gnorm:
                     # refuse steps that no longer move the objective: they only
                     # drift the iterate along flat directions of the local term
-                    if f - f_try <= cfg.inner_tolerance * max(1.0, abs(f)):
+                    if f - f_try <= INNER_TOLERANCE * max(1.0, abs(f)):
                         break
                     y, f = y_try, f_try
                     step = t
                     improved = True
                     break
-                t *= cfg.armijo_backtrack
+                t *= ARMIJO_BACKTRACK
             if not improved:
                 break
         return y
@@ -397,7 +405,7 @@ class HyperbolicPlane(Space):
 
 
 class _TreeSpace(Space):
-    """The geodesic walk that the two tree models share.
+    """The geodesic walk and the local search that the two tree models share.
 
     A vertex is named by a key (a vertex index, or a reduced word).  A
     subclass supplies ``_anchors(p)``, the vertex keys of p's edge in the
@@ -405,7 +413,8 @@ class _TreeSpace(Space):
     vertex); ``_vdist(u, v)`` and ``_vertex_path(u, v)`` between vertex
     keys; ``_edge(u, v)``, the edge between adjacent vertices as
     (first key, second key, length); and ``_at(a, b, r)``, the point at
-    arclength r from a on the edge (a, b).
+    arclength r from a on the edge (a, b).  ``_candidates(y0, point_terms,
+    iso_terms)`` gives ``local_min`` vertices and edges (vertex pairs) to search.
     """
 
     @staticmethod
@@ -479,15 +488,33 @@ class _TreeSpace(Space):
             ca = cb
         return q
 
-    def _segment_min(self, a, b, f, tol: float = 1e-10):
+    def _segment_min(self, a, b, f):
         """Best point on the geodesic [a, b] for objective f."""
         if self.dist(a, b) < 1e-15:
             return a, f(a)
-        s = golden_section(lambda s: f(self.geodesic_point(a, b, s)), 0.0, 1.0, tol)
+        s = golden_section(lambda s: f(self.geodesic_point(a, b, s)), 0.0, 1.0, INNER_TOLERANCE)
         candidates = [a, self.geodesic_point(a, b, s), b]
         vals = [f(p) for p in candidates]
         i = int(np.argmin(vals))
         return candidates[i], vals[i]
+
+    def local_min(self, y0, point_terms, iso_terms):
+        """Convex search over the candidate vertices, then edges; ties go to the first."""
+        def f(y):
+            return self.local_value(y, point_terms, iso_terms)
+
+        vertices, edges = self._candidates(y0, point_terms, iso_terms)
+        best, best_val = y0, f(y0)
+        for v in vertices:
+            p = self.vertex_point(v)
+            val = f(p)
+            if val < best_val - 1e-15:
+                best, best_val = p, val
+        for a, b in edges:
+            p, val = self._segment_min(self.vertex_point(a), self.vertex_point(b), f)
+            if val < best_val - 1e-15:
+                best, best_val = p, val
+        return best
 
 
 class MetricTree(_TreeSpace):
@@ -638,23 +665,9 @@ class MetricTree(_TreeSpace):
         offset = float(rng.uniform(0.0, self.edges[k][2]))
         return self.edge_point(k, offset)
 
-    def local_min(self, y0, point_terms, iso_terms, cfg):
-        """Convex search over every vertex and edge."""
-        def f(y):
-            return self.local_value(y, point_terms, iso_terms)
-
-        best, best_val = y0, f(y0)
-        for v in self.vertices:
-            p = self.vertex_point(v)
-            val = f(p)
-            if val < best_val - 1e-15:
-                best, best_val = p, val
-        for a, b, _ in self.edges:
-            pa, pb = self.vertex_point(a), self.vertex_point(b)
-            p, val = self._segment_min(pa, pb, f, cfg.inner_tolerance)
-            if val < best_val - 1e-15:
-                best, best_val = p, val
-        return best
+    def _candidates(self, y0, point_terms, iso_terms):
+        """Every vertex and every edge."""
+        return self.vertices, [(a, b) for a, b, _ in self.edges]
 
     def check_not_boundary_fixing(self, rho, search_radius: int) -> None:
         """A finite tree has no ideal boundary; only trivial images are refused."""
@@ -784,42 +797,23 @@ class CayleyTree(_TreeSpace):
                 break
         return self.edge_point(w, x, float(rng.uniform(0.0, 1.0)))
 
-    def local_min(self, y0, point_terms, iso_terms, cfg):
-        """Convex search over the subtree that the term targets span."""
-        def f(y):
-            return self.local_value(y, point_terms, iso_terms)
-
+    def _candidates(self, y0, point_terms, iso_terms):
+        """The subtree that y0 and the term targets span: its vertices and edges."""
         # anchors: the current point and every term target (isometry images both ways)
         anchor_points = [y0] + [p for _, p in point_terms]
         for _, a in iso_terms:
             anchor_points.append(a.apply(y0))
             anchor_points.append(a.inverse().apply(y0))
-        anchor_vertices: set[words.Word] = set()
-        for p in anchor_points:
-            for w, _ in self._anchors(p):
-                anchor_vertices.add(w)
+        anchor_vertices = {w for p in anchor_points for w, _ in self._anchors(p)}
         # the subtree spanned by the anchors: vertices on all pairwise paths
         verts = set(anchor_vertices)
         anchors = list(anchor_vertices)
         for i in range(len(anchors)):
             for j in range(i + 1, len(anchors)):
                 verts.update(self._vertex_path(anchors[i], anchors[j]))
-        best, best_val = y0, f(y0)
-        edges = set()
-        for v in verts:
-            p = self.vertex_point(v)
-            val = f(p)
-            if val < best_val - 1e-15:
-                best, best_val = p, val
-            if v:  # edge toward the parent vertex
-                edges.add((v[:-1], v[-1]))
-        for w, letter in edges:
-            pa = self.vertex_point(w)
-            pb = self.vertex_point(words.multiply(w, (letter,)))
-            p, val = self._segment_min(pa, pb, f, cfg.inner_tolerance)
-            if val < best_val - 1e-15:
-                best, best_val = p, val
-        return best
+        # the edge from each vertex but e to its parent; the set's order decides ties
+        edges = {(v[:-1], v[-1]) for v in verts if v}
+        return verts, [(w, w + (letter,)) for w, letter in edges]
 
     def check_not_boundary_fixing(self, rho, search_radius: int) -> None:
         """The image must contain two non-commuting hyperbolic elements."""

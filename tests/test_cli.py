@@ -1,13 +1,20 @@
 import json
+import random
 
 import numpy as np
 import pytest
 
 from geowidth.cli import main
 from geowidth.equivariant import Edge, EquivariantMap, FundamentalGraph, build_bouquet_map
-from geowidth.isometries import HyperbolicIsometry, Representation
-from geowidth.serialization import save_map, save_representation
-from geowidth.spaces import HyperbolicPlane, MetricTree
+from geowidth.isometries import (
+    CayleyTranslation,
+    EuclideanIsometry,
+    HyperbolicIsometry,
+    Representation,
+    TreeAutomorphism,
+)
+from geowidth.serialization import map_to_json, save_map, save_representation
+from geowidth.spaces import CayleyTree, EuclideanSpace, HyperbolicPlane, MetricTree
 
 
 def run(capsys, argv):
@@ -304,3 +311,164 @@ class TestTopLevel:
     def test_unknown_command(self, capsys):
         code, _, _ = run(capsys, ["frobnicate"])
         assert code == 64
+
+
+DOCUMENTED_EXITS = {0, 2, 3, 4, 64, 65, 66, 70}
+JSON_TYPES = (
+    (type(None), "null"), (bool, "bool"), ((int, float), "number"), (str, "string"), (list, "array"), (dict, "object")
+)
+
+
+def _json_type(value):
+    return next(name for types, name in JSON_TYPES if isinstance(value, types))
+
+
+def _refuse_constant(name):
+    raise ValueError(f"non-strict JSON constant {name}")
+
+
+def mutants(doc, rng, count):
+    """Seeded copies of doc with one key dropped or one value swapped for one of another JSON type."""
+    values = [None, True, 3, -1.5, "x", "", [], [1, "a"], {}, {"model": "x"}]
+    paths = []
+
+    def walk(node, path):
+        items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+        for key, child in items:
+            paths.append(path + (key,))
+            walk(child, path + (key,))
+
+    walk(doc, ())
+    for _ in range(count):
+        mutant = json.loads(json.dumps(doc))
+        path = paths[rng.randrange(len(paths))]
+        parent = mutant
+        for key in path[:-1]:
+            parent = parent[key]
+        if isinstance(parent, dict) and rng.random() < 0.3:
+            del parent[path[-1]]
+        else:
+            old = _json_type(parent[path[-1]])
+            parent[path[-1]] = rng.choice([v for v in values if _json_type(v) != old])
+        yield mutant
+
+
+class TestFuzz:
+    """Malformed and mutated inputs end in a documented exit code, never a traceback."""
+
+    BOUND = ["conjugacy", "solve", "--alphabet", "2", "--a", "ab", "--b", "ba", "--policy", "bound"]
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            BOUND + ["--cstar", "nan", "--c", "1"],
+            BOUND + ["--cstar", "inf", "--c", "1"],
+            BOUND + ["--cstar", "1", "--c=-inf"],
+            ["check-cat0", "--model", "euclidean", "--seed", "-1"],
+            ["harmonic", "--map", "MAP", "--max-iterations", "3", "--tolerance", "nan"],
+        ],
+        ids=["cstar-nan", "cstar-inf", "c-minus-inf", "seed-negative", "tolerance-nan"],
+    )
+    def test_bad_number_is_usage_error(self, capsys, hyp_map_files, flags):
+        code, out, err = run(capsys, [hyp_map_files[0] if f == "MAP" else f for f in flags])
+        assert code == 64
+        assert out == ""
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "entry, text",
+        [
+            ("tree-file", '{"vertices": ["a", "b"], "edges": [{"a": "a", "b": "b", "len": "x"}]}'),
+            ("rep", '{"space": {"model": "hyperbolic"}, "generators": [{"matrix": "abc"}]}'),
+            ("rep", '{"space": {"model": "hyperbolic"}, "generators": [{"matrix": [[1, 2], [3]]}]}'),
+            ("rep", '{"space": {"model": "euclidean", "dim": "x"}, "generators": []}'),
+            ("rep", '{"space": {"model": "cayley", "rank": 2}, "generators": [{"word": 7}]}'),
+            ("basepoint", '{"model": "cayley", "word": 5}'),
+            ("basepoint", '{"model": "cayley", "word": "a", "letter": "b", "t": "x"}'),
+            ("tree-file", '{"vertices": ["a", "b"], "edges": [{"a": "a", "b": "b", "len": NaN}]}'),
+            ("rep", '{"space": {"model": "cayley", "rank": -Infinity}, "generators": [{"word": "a"}]}'),
+        ],
+        ids=[
+            "tree-len", "matrix-string", "matrix-ragged", "dim-string", "word-number", "basepoint-word", "basepoint-t",
+            "len-nan", "rank-infinity",
+        ],
+    )
+    def test_wrongly_typed_json_is_config_error(self, capsys, tmp_path, free_rep_file, entry, text):
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        argv = {
+            "tree-file": ["check-cat0", "--model", "tree", "--tree-file", str(path), "--trials", "3"],
+            "rep": ["estimate-cstar", "--rep", str(path), "--trials", "3"],
+            "basepoint": ["orbit-report", "--rep", free_rep_file, "--a", "ab", "--b", "ba", "--basepoint", text],
+        }[entry]
+        code, out, err = run(capsys, argv)
+        assert code == 65
+        assert out == ""
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "space, generator, message",
+        [
+            ({"model": "euclidean", "dim": 2}, {"matrix": [[1, 0], [0, 1]], "translation": 3}, "dimension mismatch"),
+            ({"model": "euclidean", "dim": 2}, {"matrix": [[1, 0], [0, 1]], "translation": [None, 0]}, "preserve distances"),
+            ({"model": "hyperbolic"}, {"matrix": [[2, None], [1, 1]]}, "positive determinant"),
+        ],
+        ids=["translation-scalar", "translation-null", "matrix-null"],
+    )
+    def test_misshapen_or_null_numbers_are_usage_errors(self, capsys, tmp_path, space, generator, message):
+        # numpy reads a JSON null in a number array as NaN, which passes any check written as x <= bound
+        path = tmp_path / "rep.json"
+        path.write_text(json.dumps({"space": space, "generators": [generator]}))
+        code, out, err = run(capsys, ["estimate-cstar", "--rep", str(path), "--trials", "3"])
+        assert (code, out) == (64, "")
+        assert message in err
+
+    def test_null_coordinate_is_usage_error(self, capsys, tmp_path):
+        rep = Representation(EuclideanSpace(2), [EuclideanIsometry(np.eye(2), [1.0, 0.0])], check_samples=5)
+        u = map_to_json(build_bouquet_map(rep, np.zeros(2)))
+        u["images"]["v"]["coords"] = [None, 0.0]
+        path = tmp_path / "u.json"
+        path.write_text(json.dumps(u))
+        code, out, err = run(capsys, ["harmonic", "--map", str(path)])
+        assert (code, out) == (64, "")
+        assert "coordinates must be finite" in err
+
+    def test_seeded_mutants(self, capsys, tmp_path, hyp_map_files, free_rep_file):
+        tripod = MetricTree(["c", "p", "q", "r"], [("c", "p", 1.0), ("c", "q", 1.0), ("c", "r", 1.0)])
+        cayley = CayleyTree(2)
+        free = Representation(cayley, [CayleyTranslation(cayley, (1,)), CayleyTranslation(cayley, (2, 1))])
+        tree_rep = Representation(tripod, [TreeAutomorphism(tripod, {"c": "c", "p": "q", "q": "r", "r": "p"})])
+        euclidean = Representation(EuclideanSpace(2), [EuclideanIsometry([[0.0, -1.0], [1.0, 0.0]], [1.0, 0.0])])
+        with open(hyp_map_files[0]) as f:
+            hyp_map = json.load(f)
+        maps = [
+            hyp_map,
+            map_to_json(build_bouquet_map(tree_rep, tripod.edge_point(0, 0.5))),
+            map_to_json(build_bouquet_map(free, cayley.edge_point((1,), 2, 0.25))),
+        ]
+        path = tmp_path / "doc.json"
+        relax = ["harmonic", "--map", str(path), "--max-iterations", "2"]
+        width = ["width", "--u", str(path), "--v", str(path), "--samples-per-edge", "4"]
+        estimate = ["estimate-cstar", "--rep", str(path), "--trials", "2"]
+        reps = (tree_rep.to_json(), free.to_json(), euclidean.to_json(), hyp_map["representation"])
+        cases = [(m, relax) for m in maps] + [(m, width) for m in maps] + [(rep, estimate) for rep in reps]
+        cases.append((tripod.to_json_dict(), ["check-cat0", "--model", "tree", "--tree-file", str(path), "--trials", "2"]))
+        orbit = ["orbit-report", "--rep", free_rep_file, "--a", "ab", "--b", "ba", "--basepoint"]
+        points = ({"model": "cayley", "word": "ab", "letter": "a", "t": 0.5}, {"model": "cayley", "word": "B"})
+        cases += [(point, orbit) for point in points]
+        rng = random.Random(2026)
+        for doc, argv in cases:
+            for mutant in mutants(doc, rng, 12):
+                text = json.dumps(mutant)
+                path.write_text(text)
+                # the basepoint is given inline, every other document as a file
+                argv_run = argv + [text] if argv is orbit else argv
+                try:
+                    code = main(argv_run)
+                except Exception as e:
+                    pytest.fail(f"{type(e).__name__}: {e} escaped main() on {text}")
+                out, err = capsys.readouterr()
+                assert code in DOCUMENTED_EXITS, (code, text, err)
+                assert "Traceback" not in err, text
+                if code == 0:
+                    json.loads(out, parse_constant=_refuse_constant)

@@ -11,7 +11,7 @@ from geowidth.equivariant import (
     energy,
     length,
 )
-from geowidth.errors import CapabilityError, PreconditionError
+from geowidth.errors import CapabilityError, DomainError, PreconditionError
 from geowidth.harmonic import (
     RelaxationConfig,
     check_not_boundary_fixing,
@@ -134,6 +134,58 @@ class TestRelaxTrees:
         # every point moves by at least the translation length 1 per loop
         assert r.e_star == pytest.approx(2.0, abs=1e-9)
         assert r.l_star == pytest.approx(2.0, abs=1e-9)
+
+
+def sl2z_rep():
+    """The README's rank-2 action on the hyperbolic plane."""
+    return Representation(
+        HyperbolicPlane(),
+        [
+            HyperbolicIsometry([[2.0, 1.0], [1.0, 1.0]]),
+            HyperbolicIsometry([[5.0, 2.0], [2.0, 1.0]]),
+        ],
+        check_samples=10,
+    )
+
+
+def cycle_graph(size):
+    """A cycle with one edge labelled a and one labelled b, the rest unlabelled."""
+    labels = {size - 1: (1,), size // 2 - 1: (2,)}
+    edges = [Edge(i, (i + 1) % size, 1.0, labels.get(i, ())) for i in range(size)]
+    return FundamentalGraph(list(range(size)), edges)
+
+
+class TestRelaxWork:
+    @pytest.mark.parametrize("size", [8, 32])
+    def test_sweeps_are_linear_in_edges(self, monkeypatch, size):
+        # each label is evaluated once per run plus once per map, and a
+        # sweep builds one map: E * (sweeps + 1) evaluations, not O(V * E)
+        rho = sl2z_rep()
+        rng = np.random.default_rng(size)
+        u0 = EquivariantMap(cycle_graph(size), rho, {v: rho.space.random_point(rng) for v in range(size)})
+        counts = {"evaluate": 0, "map": 0}
+        evaluate, map_init = Representation.evaluate, EquivariantMap.__init__
+
+        def counted_evaluate(self, g):
+            counts["evaluate"] += 1
+            return evaluate(self, g)
+
+        def counted_map_init(self, *args):
+            counts["map"] += 1
+            map_init(self, *args)
+
+        monkeypatch.setattr(Representation, "evaluate", counted_evaluate)
+        monkeypatch.setattr(EquivariantMap, "__init__", counted_map_init)
+        sweeps = 2
+        r = relax(u0, RelaxationConfig(max_iterations=sweeps))
+        assert r.iterations == sweeps
+        assert counts["evaluate"] <= len(u0.graph.edges) * (sweeps + 1)
+        assert counts["map"] <= sweeps
+
+    @pytest.mark.parametrize("tolerance", [0.0, -1e-10, float("nan")])
+    def test_config_refuses_a_tolerance_that_is_not_positive(self, tolerance):
+        with pytest.raises(DomainError):
+            RelaxationConfig(displacement_tolerance=tolerance)
 
 
 class TestHarmonicHomotopy:
