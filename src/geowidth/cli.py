@@ -14,13 +14,14 @@ Reports go to stdout in json (canonical), csv, or human format; progress
 goes to stderr.  Identical argv and seed produce byte-identical stdout.
 
 Exit codes: 0 success / conjugate; 2 property violation; 3 not conjugate;
-4 not conjugate up to the searched radius; 64 usage error; 65 bad config;
-66 failed precondition; 70 internal error.
+4 not conjugate up to the searched radius; 64 usage error (a number out of
+range included); 65 bad config; 66 failed precondition; 70 internal error.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -42,7 +43,7 @@ from .equivariant import (
     homotopy_width_inf,
     length,
 )
-from .errors import ConfigError, DomainError, GeowidthError, PreconditionError
+from .errors import AlphabetMismatchError, ConfigError, DomainError, GeowidthError, PreconditionError
 from .harmonic import RelaxationConfig, estimate_width_constant, relax
 from .serialization import load_map, load_representation, malformed_input, map_to_json, parse_json
 from .spaces import convexity_defect, quadrilateral_defect, space_from_json, triangle_defect
@@ -67,21 +68,28 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _emit(report: dict, fmt: str) -> None:
-    """Write the report as json, or as its scalar keys and then its table in csv or human form."""
-    out = sys.stdout
-    if fmt == "json":
-        out.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
-        return
-    table = report.pop("table", None) or []
-    for key in sorted(report):
-        value = json.dumps(report[key], sort_keys=True)
-        out.write(f"# {key}={value}\n" if fmt == "csv" else f"{key}: {value}\n")
-    if table and fmt == "csv":
-        cols = sorted(table[0])
-        out.write(",".join(cols) + "\n")
-        out.writelines(",".join(json.dumps(row.get(c)) for c in cols) + "\n" for row in table)
-    else:
-        out.writelines("  " + json.dumps(row, sort_keys=True) + "\n" for row in table)
+    """Write the report as json, or as its scalar keys and then its table in csv or human form.
+
+    The whole report is serialized before anything is written; NaN and
+    Infinity, which strict JSON lacks, are refused as out of range.
+    """
+    dumps = functools.partial(json.dumps, allow_nan=False)
+    try:
+        if fmt == "json":
+            lines = [dumps(report, indent=2, sort_keys=True)]
+        else:
+            table = report.pop("table", None) or []
+            scalar = "# {}={}" if fmt == "csv" else "{}: {}"
+            lines = [scalar.format(key, dumps(report[key], sort_keys=True)) for key in sorted(report)]
+            if table and fmt == "csv":
+                cols = sorted(table[0])
+                lines.append(",".join(cols))
+                lines += [",".join(dumps(row.get(c)) for c in cols) for row in table]
+            else:
+                lines += ["  " + dumps(row, sort_keys=True) for row in table]
+    except ValueError as e:
+        raise DomainError(f"report holds a number out of range: {e}") from e
+    sys.stdout.write("".join(line + "\n" for line in lines))
 
 
 def _base_report(ns: argparse.Namespace) -> dict:
@@ -352,8 +360,11 @@ def main(argv=None) -> int:
     except PreconditionError as e:
         sys.stderr.write(f"precondition failed: {e}\n")
         return EXIT_PRECONDITION
-    except (DomainError, FileNotFoundError) as e:
+    except (DomainError, AlphabetMismatchError, FileNotFoundError) as e:
         sys.stderr.write(f"error: {e}\n")
+        return EXIT_USAGE
+    except OverflowError as e:  # finite input numbers too large to compute with
+        sys.stderr.write(f"error: input numbers overflow: {e}\n")
         return EXIT_USAGE
     except GeowidthError as e:
         sys.stderr.write(f"error: {e}\n")

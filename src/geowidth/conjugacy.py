@@ -24,6 +24,7 @@ POLICY_BOUND = "bound"
 VERDICT_CONJUGATE = "Conjugate"
 VERDICT_NOT_CONJUGATE = "NotConjugate"
 VERDICT_NOT_CONJUGATE_UP_TO = "NotConjugateUpTo"
+ENUMERATION_BUDGET = 5_000_000  # words a matrix-context search may enumerate
 
 
 @dataclass
@@ -36,7 +37,6 @@ class ConjugacyInstance:
     c_star: Optional[float] = None
     c: Optional[float] = None
     max_radius: int = 16
-    budget: int = 5_000_000
 
     def __post_init__(self):
         self.lists_a = tuple(words.reduce_word(a) for a in self.lists_a)
@@ -129,7 +129,7 @@ def solve(inst: ConjugacyInstance) -> ConjugacyCertificate:
     enumerated = 0
     for g in words.enumerate_ball(inst.alphabet_size, cap):
         enumerated += 1
-        if enumerated > inst.budget:
+        if enumerated > ENUMERATION_BUDGET:
             raise BudgetExceededError(
                 "conjugator search exceeded its enumeration budget", enumerated=enumerated, radius=cap
             )

@@ -5,7 +5,10 @@ graph whose directed edges carry group-element labels: the edge
 (src, tgt, len, label) is sent to the constant-speed geodesic from
 images[src] to rho(label) . images[tgt].  Everything else (length, energy,
 geodesic homotopies, the W2 and Winf widths, convexity reports) is
-computed from this finite description.
+computed from this finite description.  The constructor evaluates each
+label once, into ``isometries``, and measures each edge image once, into
+``edge_lengths``; ``with_images`` moves a map to images that the library
+computed, sharing the isometries and skipping validation.
 """
 
 from __future__ import annotations
@@ -52,29 +55,24 @@ class FundamentalGraph:
             adj[e.tgt].add(e.src)
         if any(d <= 1 for d in degree.values()):
             raise DomainError("graph must have no terminal (degree-1) vertices")
-        # connectivity
-        if self.vertices:
-            seen = {self.vertices[0]}
-            stack = [self.vertices[0]]
-            while stack:
-                u = stack.pop()
-                for w in adj[u]:
-                    if w not in seen:
-                        seen.add(w)
-                        stack.append(w)
-            if seen != vs:
-                raise DomainError("graph must be connected")
+        seen, stack = set(self.vertices[:1]), self.vertices[:1]
+        while stack:
+            reached = adj[stack.pop()] - seen
+            seen |= reached
+            stack.extend(reached)
+        if seen != vs:
+            raise DomainError("graph must be connected")
 
     def total_length(self) -> float:
         return sum(e.length for e in self.edges)
 
 
-def bouquet_graph(num_loops: int, vertex="v") -> FundamentalGraph:
-    """One vertex with num_loops unit-length loop edges labelled by generators."""
+def bouquet_graph(num_loops: int) -> FundamentalGraph:
+    """One vertex "v" with num_loops unit-length loop edges labelled by generators."""
     if num_loops < 1:
         raise DomainError("a bouquet needs at least one loop")
-    edges = [Edge(vertex, vertex, 1.0, (i,)) for i in range(1, num_loops + 1)]
-    return FundamentalGraph([vertex], edges)
+    edges = [Edge("v", "v", 1.0, (i,)) for i in range(1, num_loops + 1)]
+    return FundamentalGraph(["v"], edges)
 
 
 class EquivariantMap:
@@ -88,10 +86,22 @@ class EquivariantMap:
             raise DomainError("images must cover exactly the graph vertices")
         for p in self.images.values():
             rho.space.validate_point(p)
-        # rho(label) applied to the target image, cached per edge
-        self._far = [
-            rho.act(e.label, self.images[e.tgt]) for e in graph.edges
-        ]
+        #: rho(label) per edge
+        self.isometries = [rho.evaluate(e.label) for e in graph.edges]
+        self._measure()
+
+    def with_images(self, images: dict) -> "EquivariantMap":
+        """This map's graph and isometries at other images, which the library computed."""
+        u = object.__new__(type(self))
+        u.graph, u.rho, u.isometries, u.images = self.graph, self.rho, self.isometries, dict(images)
+        u._measure()
+        return u
+
+    def _measure(self) -> None:
+        """Far endpoint rho(label) . u(tgt) and image length of each edge."""
+        edges, images, dist = self.graph.edges, self.images, self.space.dist
+        self._far = [g.apply(images[e.tgt]) for e, g in zip(edges, self.isometries)]
+        self.edge_lengths = [dist(images[e.src], b) for e, b in zip(edges, self._far)]
 
     @property
     def space(self) -> Space:
@@ -101,10 +111,6 @@ class EquivariantMap:
         """Images of edge k's endpoints: (u(src), rho(label) . u(tgt))."""
         e = self.graph.edges[k]
         return self.images[e.src], self._far[k]
-
-    def edge_image_length(self, k: int) -> float:
-        a, b = self.edge_endpoints(k)
-        return self.space.dist(a, b)
 
     def at(self, k: int, x: float):
         """Value at the point of edge k at arclength fraction x in [0, 1]."""
@@ -122,25 +128,23 @@ def build_bouquet_map(rho: Representation, basepoint) -> EquivariantMap:
 
 def length(u: EquivariantMap) -> float:
     """Total length: sum of the geodesic edge-image lengths."""
-    return sum(u.edge_image_length(k) for k in range(len(u.graph.edges)))
+    return sum(u.edge_lengths)
 
 
 def energy(u: EquivariantMap) -> float:
     """Energy of the constant-speed parameterization: sum of d^2 / len."""
     total = 0.0
-    for k, e in enumerate(u.graph.edges):
-        d = u.edge_image_length(k)
+    for e, d in zip(u.graph.edges, u.edge_lengths):
         total += d * d / e.length
     return total
 
 
 def per_edge_table(u: EquivariantMap) -> list[dict]:
     """Per-edge lengths and energies (L_I, E_I, len_I)."""
-    rows = []
-    for k, e in enumerate(u.graph.edges):
-        d = u.edge_image_length(k)
-        rows.append({"edge": k, "len": e.length, "L": d, "E": d * d / e.length})
-    return rows
+    return [
+        {"edge": k, "len": e.length, "L": d, "E": d * d / e.length}
+        for k, (e, d) in enumerate(zip(u.graph.edges, u.edge_lengths))
+    ]
 
 
 def approx_length_density(
@@ -178,10 +182,7 @@ class GeodesicHomotopy:
     """The geodesic homotopy between two maps over the same graph and rho."""
 
     def __init__(self, u: EquivariantMap, v: EquivariantMap):
-        if u.graph is not v.graph and (
-            [(e.src, e.tgt, e.length, e.label) for e in u.graph.edges]
-            != [(e.src, e.tgt, e.length, e.label) for e in v.graph.edges]
-        ):
+        if u.graph is not v.graph and u.graph.edges != v.graph.edges:  # Edge compares its four fields
             raise DomainError("maps must share the fundamental graph")
         if u.rho is not v.rho:
             raise DomainError("maps must share the representation")
@@ -204,7 +205,7 @@ class GeodesicHomotopy:
             v: self.space.geodesic_point(self.u.images[v], self.v.images[v], s)
             for v in self.u.graph.vertices
         }
-        return EquivariantMap(self.u.graph, self.u.rho, images)
+        return self.u.with_images(images)
 
     def track_length(self, k: int, x: float) -> float:
         """l_H at the point of edge k at fraction x: dist(u(x), v(x))."""
@@ -240,26 +241,26 @@ def homotopy_width_2_detailed(h: GeodesicHomotopy, samples_per_edge: int = 64):
     """L2 width by composite Simpson, with a Richardson error estimate.
 
     Returns (width, error_estimate); the estimate compares against the
-    half-resolution rule, so it is deterministic.
+    half-resolution rule on every other sample, so it is deterministic.  The
+    subinterval count is rounded up to a multiple of 4: both rules need it even.
     """
     if samples_per_edge < 2:
         raise DomainError("need at least 2 subintervals per edge")
-    k_sub = samples_per_edge + (samples_per_edge % 2)  # Simpson needs even
+    k_sub = -(-samples_per_edge // 4) * 4
+    xs = np.linspace(0.0, 1.0, k_sub + 1)
 
-    def integral(n_sub: int) -> float:
-        total = 0.0
-        for k, e in enumerate(h.u.graph.edges):
-            xs = np.linspace(0.0, 1.0, n_sub + 1)
-            fs = np.array([h.track_length(k, x) ** 2 for x in xs])
-            w = np.ones(n_sub + 1)
-            w[1:-1:2] = 4.0
-            w[2:-1:2] = 2.0
-            step = e.length / n_sub
-            total += step / 3.0 * float(w @ fs)
-        return total
+    def simpson(fs: np.ndarray, step: float) -> float:
+        w = np.ones(len(fs))
+        w[1:-1:2] = 4.0
+        w[2:-1:2] = 2.0
+        return step / 3.0 * float(w @ fs)
 
-    fine = integral(k_sub)
-    coarse = integral(max(k_sub // 2, 2))
+    fine = coarse = 0.0
+    for k, e in enumerate(h.u.graph.edges):
+        fs = np.array([h.track_length(k, x) ** 2 for x in xs])
+        fine += simpson(fs, e.length / k_sub)
+        # a contiguous copy, so that the dot product sums as on a fresh array
+        coarse += simpson(fs[::2].copy(), e.length / (k_sub // 2))
     width = math.sqrt(max(fine, 0.0))
     err = abs(fine - coarse) / 15.0
     err_width = err / (2.0 * width) if width > 1e-12 else math.sqrt(err)

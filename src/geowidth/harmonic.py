@@ -7,8 +7,8 @@ convex objective
     F_v(y) = sum_j w_j d^2(y, p_j)  +  sum_k w_k d^2(y, A_k y),
 
 where the p_j are the rho-translated neighbour images and the A_k come
-from loop edges.  A run evaluates each edge label once, into a term table,
-and builds one ``EquivariantMap`` per sweep.  The inner solver belongs to
+from loop edges.  A run reads the start map's edge isometries into a term
+table and builds one map per sweep.  The inner solver belongs to
 the model space (``Space.local_min`` in :mod:`geowidth.spaces`), as does
 the non-elementarity precondition of the width-constant estimator.
 """
@@ -57,12 +57,11 @@ class HarmonicResult:
 def _term_table(u: EquivariantMap) -> dict:
     """Per vertex, in edge order: ([(weight, isometry, neighbour)], [(weight, loop isometry)]).
 
-    Each label is evaluated once; at an edge's target its isometry is inverted.
+    The isometries are the map's own; at an edge's target the isometry is inverted.
     """
     table = {v: ([], []) for v in u.graph.vertices}
-    for e in u.graph.edges:
+    for e, g in zip(u.graph.edges, u.isometries):
         w = 1.0 / e.length
-        g = u.rho.evaluate(e.label)
         if e.src == e.tgt:
             table[e.src][1].append((w, g))
         else:
@@ -78,7 +77,7 @@ def _local_terms(terms, images: dict):
 
 
 def relax(u0: EquivariantMap, cfg: RelaxationConfig | None = None) -> HarmonicResult:
-    """Cyclic coordinate descent to a harmonic map: one term table per run, one map per sweep."""
+    """Cyclic coordinate descent to a harmonic map: u0's isometries in one term table, one map per sweep."""
     cfg = cfg or RelaxationConfig()
     space = u0.space
     table = _term_table(u0)
@@ -92,24 +91,17 @@ def relax(u0: EquivariantMap, cfg: RelaxationConfig | None = None) -> HarmonicRe
             y_old = images[v]
             y_new = space.local_min(y_old, point_terms, iso_terms)
             # guard: never accept an increase of the local objective
-            if space.local_value(y_new, point_terms, iso_terms) > space.local_value(
-                y_old, point_terms, iso_terms
-            ):
+            if space.local_value(y_new, point_terms, iso_terms) > space.local_value(y_old, point_terms, iso_terms):
                 y_new = y_old
             max_disp = max(max_disp, space.dist(y_old, y_new))
             images[v] = y_new
-        u = EquivariantMap(u0.graph, u0.rho, images)
+        u = u0.with_images(images)
         trace.append(energy(u))
         if max_disp < cfg.displacement_tolerance:
             converged = True
             break
     return HarmonicResult(
-        map=u,
-        e_star=trace[-1],
-        l_star=length(u),
-        iterations=iterations,
-        converged=converged,
-        energy_trace=trace,
+        map=u, e_star=trace[-1], l_star=length(u), iterations=iterations, converged=converged, energy_trace=trace
     )
 
 
@@ -117,7 +109,6 @@ def stationarity_probe(
     result: HarmonicResult,
     directions: int = 16,
     step: float = 1e-6,
-    seed: int = 7,
 ) -> float:
     """Largest objective decrease found by perturbing single vertex images.
 
@@ -127,7 +118,7 @@ def stationarity_probe(
     """
     u = result.map
     space = u.space
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(7)
     worst = 0.0
     for v, terms in _term_table(u).items():
         point_terms, iso_terms = _local_terms(terms, u.images)
@@ -174,14 +165,10 @@ def d_infinity(u: EquivariantMap, v: EquivariantMap) -> float:
     Distance convexity along the shared edge geodesics puts the maximum at
     an edge endpoint.
     """
-    return max(
-        u.space.dist(u.images[w], v.images[w]) for w in u.graph.vertices
-    )
+    return max(u.space.dist(u.images[w], v.images[w]) for w in u.graph.vertices)
 
 
-def main_lemma_ratio(
-    u: EquivariantMap, r: HarmonicResult, cfg: RelaxationConfig | None = None
-):
+def main_lemma_ratio(u: EquivariantMap, r: HarmonicResult):
     """d_inf(u, u_bar) / (L(u) - L_star), or None when the gap vanishes.
 
     The harmonic comparison map u_bar is re-derived by relaxing from u
@@ -195,7 +182,7 @@ def main_lemma_ratio(
     gap = l_u - r.l_star
     if gap <= 1e-12:
         return None
-    refined = relax(u, cfg)
+    refined = relax(u)
     u_bar = refined.map if (refined.converged and refined.e_star <= r.e_star + 1e-6) else r.map
     return d_infinity(u, u_bar) / gap
 
@@ -203,7 +190,7 @@ def main_lemma_ratio(
 # --- non-elementarity checks and the width-constant estimator ---------------
 
 
-def check_not_boundary_fixing(rho: Representation, search_radius: int = 3) -> None:
+def check_not_boundary_fixing(rho: Representation) -> None:
     """Raise PreconditionError unless the image visibly fixes no ideal point.
 
     Hyperbolic-plane targets: the image must contain two hyperbolic
@@ -212,7 +199,7 @@ def check_not_boundary_fixing(rho: Representation, search_radius: int = 3) -> No
     Finite-tree targets have no ideal boundary; only trivial images are
     refused.  Euclidean targets are not supported.
     """
-    rho.space.check_not_boundary_fixing(rho, search_radius)
+    rho.space.check_not_boundary_fixing(rho)
 
 
 @dataclass
@@ -234,14 +221,12 @@ def estimate_width_constant(
         raise DomainError("trials must be >= 1")
     check_not_boundary_fixing(rho)
     rng = np.random.default_rng(seed)
-    space = rho.space
+    basepoints = [(rho.space.random_point(rng), rho.space.random_point(rng)) for _ in range(trials)]
+    bouquet = build_bouquet_map(rho, basepoints[0][0])
     samples = []
     c_hat = 0.0
-    for k in range(trials):
-        y1 = space.random_point(rng)
-        y2 = space.random_point(rng)
-        u = build_bouquet_map(rho, y1)
-        v = build_bouquet_map(rho, y2)
+    for k, (y1, y2) in enumerate(basepoints):
+        u, v = bouquet.with_images({"v": y1}), bouquet.with_images({"v": y2})
         w_inf = homotopy_width_inf(GeodesicHomotopy(u, v))
         denom = length(u) + length(v)
         ratio = 0.0 if denom <= 1e-15 else w_inf / denom

@@ -38,7 +38,7 @@ import numpy as np
 
 from . import words
 from .errors import CapabilityError, ConfigError, DomainError
-from .spaces import CayleyPoint, CayleyTree, EuclideanSpace, HyperbolicPlane, MetricTree, Space, TreePoint, space_from_json
+from .spaces import TOL, CayleyPoint, CayleyTree, EuclideanSpace, HyperbolicPlane, MetricTree, Space, TreePoint, space_from_json
 
 
 class Isometry:
@@ -56,7 +56,7 @@ class Isometry:
     def to_json(self) -> dict:
         raise NotImplementedError
 
-    def is_identity(self, tol: float = 1e-9) -> bool:
+    def is_identity(self) -> bool:
         raise NotImplementedError
 
     def equals(self, other: "Isometry") -> bool:
@@ -109,11 +109,11 @@ class EuclideanIsometry(Isometry):
         inv = self.matrix.T
         return EuclideanIsometry(inv, -(inv @ self.translation))
 
-    def is_identity(self, tol: float = 1e-9) -> bool:
+    def is_identity(self) -> bool:
         n = self.translation.shape[0]
         return bool(
-            np.max(np.abs(self.matrix - np.eye(n))) <= tol
-            and np.max(np.abs(self.translation)) <= tol
+            np.max(np.abs(self.matrix - np.eye(n))) <= TOL
+            and np.max(np.abs(self.translation)) <= TOL
         )
 
 
@@ -174,14 +174,14 @@ class HyperbolicIsometry(Isometry):
         a, b, c, d = self.matrix.flat
         return HyperbolicIsometry(np.array([[d, -b], [-c, a]]))
 
-    def is_identity(self, tol: float = 1e-9) -> bool:
-        return bool(np.max(np.abs(self.matrix - np.eye(2))) <= tol)
+    def is_identity(self) -> bool:
+        return bool(np.max(np.abs(self.matrix - np.eye(2))) <= TOL)
 
     def equals(self, other: "HyperbolicIsometry") -> bool:
         return bool(np.max(np.abs(self.matrix - other.matrix)) <= 1e-9)
 
-    def is_hyperbolic(self, tol: float = 1e-9) -> bool:
-        return abs(self.trace) > 2.0 + tol
+    def is_hyperbolic(self) -> bool:
+        return abs(self.trace) > 2.0 + TOL
 
     def translation_length(self) -> float:
         """2 arccosh(|trace|/2) for hyperbolic elements, else 0."""
@@ -190,14 +190,14 @@ class HyperbolicIsometry(Isometry):
             return 0.0
         return 2.0 * math.acosh(h)
 
-    def axis_endpoints(self, tol: float = 1e-9):
+    def axis_endpoints(self):
         """Boundary fixed points of a hyperbolic element, as a sorted pair.
 
         Endpoints are the real eigen-directions, encoded as the slope
         v0/v1 of the eigenvector (math.inf for a vertical direction).
         Returns None for non-hyperbolic elements.
         """
-        if not self.is_hyperbolic(tol):
+        if not self.is_hyperbolic():
             return None
         eigvals, eigvecs = np.linalg.eig(self.matrix)
         pts = []
@@ -257,7 +257,7 @@ class TreeAutomorphism(Isometry):
     def inverse(self) -> "TreeAutomorphism":
         return TreeAutomorphism(self.tree, {w: v for v, w in self.permutation.items()})
 
-    def is_identity(self, tol: float = 1e-9) -> bool:
+    def is_identity(self) -> bool:
         return all(self.permutation[v] == v for v in self.tree.vertices)
 
 
@@ -292,7 +292,7 @@ class CayleyTranslation(Isometry):
     def inverse(self) -> "CayleyTranslation":
         return CayleyTranslation(self.tree, words.inverse(self.word))
 
-    def is_identity(self, tol: float = 1e-9) -> bool:
+    def is_identity(self) -> bool:
         return self.word == ()
 
     def translation_length(self) -> int:
@@ -313,13 +313,7 @@ FAMILIES = {
 class Representation:
     """Generators of a finitely generated group acting by isometries."""
 
-    def __init__(
-        self,
-        space: Space,
-        generators: Sequence[Isometry],
-        check_samples: int = 1000,
-        seed: int = 0,
-    ):
+    def __init__(self, space: Space, generators: Sequence[Isometry], check_samples: int = 1000):
         self.space = space
         self.generators = list(generators)
         if not self.generators:
@@ -328,10 +322,10 @@ class Representation:
         self.kind = self.family.kind
         self.alphabet_size = len(self.generators)
         if check_samples > 0:
-            self._check_isometry_property(check_samples, seed)
+            self._check_isometry_property(check_samples)
 
-    def _check_isometry_property(self, samples: int, seed: int) -> None:
-        rng = np.random.default_rng(seed)
+    def _check_isometry_property(self, samples: int) -> None:
+        rng = np.random.default_rng(0)
         pts = [self.space.random_point(rng) for _ in range(samples + 1)]
         for g in self.generators:
             for p, q in zip(pts, pts[1:]):
@@ -382,8 +376,8 @@ class Representation:
     def act(self, g: words.Word, p):
         return self.evaluate(g).apply(p)
 
-    def is_trivial(self, tol: float = 1e-9) -> bool:
-        return all(g.is_identity(tol) for g in self.generators)
+    def is_trivial(self) -> bool:
+        return all(g.is_identity() for g in self.generators)
 
 
 def orbit_distance(rho: Representation, y, g: words.Word, h: words.Word) -> float:

@@ -18,18 +18,20 @@ from contextlib import contextmanager
 
 from . import words
 from .equivariant import Edge, EquivariantMap, FundamentalGraph
-from .errors import ConfigError, DomainError
+from .errors import AlphabetMismatchError, ConfigError, DomainError, InvalidPointError, ModelMismatchError
 from .isometries import Representation
 
 
 @contextmanager
 def malformed_input(source: str):
-    """Report JSON from source that does not parse, lacks a field or mistypes one as a ConfigError."""
+    """Report JSON from source that does not parse, lacks a field, mistypes one or names an invalid point as a ConfigError."""
     try:
         yield
     except DomainError:  # a value out of range keeps its own exit code
         raise
-    except (AttributeError, KeyError, TypeError, ValueError) as e:
+    except (
+        AttributeError, KeyError, TypeError, ValueError, AlphabetMismatchError, InvalidPointError, ModelMismatchError
+    ) as e:
         raise ConfigError(f"malformed input {source}: {type(e).__name__}: {e}") from e
 
 

@@ -55,6 +55,7 @@ INNER_TOLERANCE = 1e-12  # local_min: least relative decrease; golden-section br
 ARMIJO_BACKTRACK = 0.5  # step shrink factor of the hyperbolic line search
 ARMIJO_SLOPE = 1e-4  # sufficient-decrease constant of that line search
 MAX_INNER_ITERATIONS = 500  # gradient steps per hyperbolic update
+BOUNDARY_SEARCH_RADIUS = 3  # check_not_boundary_fixing: longest word searched
 
 
 def golden_section(f: Callable[[float], float], a: float, b: float, tol: float = 1e-10) -> float:
@@ -167,7 +168,7 @@ class Space:
         """A minimiser of ``local_value``, started from y0 (one relaxation update)."""
         raise CapabilityError(f"relaxation not supported on model {self.model!r}")
 
-    def check_not_boundary_fixing(self, rho, search_radius: int) -> None:
+    def check_not_boundary_fixing(self, rho) -> None:
         """Raise PreconditionError unless rho's image visibly fixes no ideal point."""
         raise CapabilityError(
             f"boundary fixed-point check not implemented for model {self.model!r}"
@@ -382,10 +383,10 @@ class HyperbolicPlane(Space):
                 break
         return y
 
-    def check_not_boundary_fixing(self, rho, search_radius: int) -> None:
+    def check_not_boundary_fixing(self, rho) -> None:
         """The image must contain two hyperbolic elements with distinct axis endpoint sets."""
         endpoint_sets: list[tuple] = []
-        for g in words.enumerate_ball(rho.alphabet_size, search_radius):
+        for g in words.enumerate_ball(rho.alphabet_size, BOUNDARY_SEARCH_RADIUS):
             ends = rho.evaluate(g).axis_endpoints()
             if ends is None:
                 continue
@@ -400,7 +401,7 @@ class HyperbolicPlane(Space):
         raise PreconditionError(
             "representation image fixes an ideal boundary point: no two "
             "hyperbolic elements with distinct axes found "
-            f"(searched words up to length {search_radius})"
+            f"(searched words up to length {BOUNDARY_SEARCH_RADIUS})"
         )
 
 
@@ -669,7 +670,7 @@ class MetricTree(_TreeSpace):
         """Every vertex and every edge."""
         return self.vertices, [(a, b) for a, b, _ in self.edges]
 
-    def check_not_boundary_fixing(self, rho, search_radius: int) -> None:
+    def check_not_boundary_fixing(self, rho) -> None:
         """A finite tree has no ideal boundary; only trivial images are refused."""
         if rho.is_trivial():
             raise PreconditionError("trivial representation image is refused")
@@ -815,10 +816,10 @@ class CayleyTree(_TreeSpace):
         edges = {(v[:-1], v[-1]) for v in verts if v}
         return verts, [(w, w + (letter,)) for w, letter in edges]
 
-    def check_not_boundary_fixing(self, rho, search_radius: int) -> None:
+    def check_not_boundary_fixing(self, rho) -> None:
         """The image must contain two non-commuting hyperbolic elements."""
         hyperbolics = []
-        for g in words.enumerate_ball(rho.alphabet_size, search_radius):
+        for g in words.enumerate_ball(rho.alphabet_size, BOUNDARY_SEARCH_RADIUS):
             iso = rho.evaluate(g)
             if iso.translation_length() == 0:
                 continue
@@ -829,7 +830,7 @@ class CayleyTree(_TreeSpace):
         raise PreconditionError(
             "representation image fixes an end of the tree: no two "
             "non-commuting hyperbolic elements found "
-            f"(searched words up to length {search_radius})"
+            f"(searched words up to length {BOUNDARY_SEARCH_RADIUS})"
         )
 
 
@@ -891,7 +892,7 @@ def convexity_defect(space: Space, P, Q, R, S, t: float) -> float:
     return (1.0 - t) * space.dist(P, Q) + t * space.dist(R, S) - space.dist(p_t, q_t)
 
 
-def project_to_segment(space: Space, a, b, y, tol: float = 1e-10):
+def project_to_segment(space: Space, a, b, y):
     """Nearest point on the geodesic segment [a, b] to y, with its parameter.
 
     The objective s -> dist(y, geodesic_point(a, b, s)) is convex on a
@@ -900,7 +901,7 @@ def project_to_segment(space: Space, a, b, y, tol: float = 1e-10):
     def objective(s: float) -> float:
         return space.dist(y, space.geodesic_point(a, b, s))
 
-    s_star = golden_section(objective, 0.0, 1.0, tol)
+    s_star = golden_section(objective, 0.0, 1.0)
     # snap to the endpoints when the optimum sits on the boundary
     if objective(0.0) <= objective(s_star):
         s_star = 0.0

@@ -4,7 +4,8 @@ import random
 import numpy as np
 import pytest
 
-from geowidth.cli import main
+from geowidth.cli import _emit, main
+from geowidth.errors import DomainError
 from geowidth.equivariant import Edge, EquivariantMap, FundamentalGraph, build_bouquet_map
 from geowidth.isometries import (
     CayleyTranslation,
@@ -47,6 +48,14 @@ def hyp_map_files(tmp_path):
     save_map(str(up), u)
     save_map(str(vp), v)
     return str(up), str(vp)
+
+
+@pytest.fixture
+def hyp_rep_file(tmp_path):
+    path = tmp_path / "hyp_rep.json"
+    rho = Representation(HyperbolicPlane(), [HyperbolicIsometry([[2.0, 1.0], [1.0, 1.0]])], check_samples=10)
+    save_representation(str(path), rho)
+    return str(path)
 
 
 @pytest.fixture
@@ -366,11 +375,17 @@ class TestFuzz:
             BOUND + ["--cstar", "1", "--c=-inf"],
             ["check-cat0", "--model", "euclidean", "--seed", "-1"],
             ["harmonic", "--map", "MAP", "--max-iterations", "3", "--tolerance", "nan"],
+            ["conjugacy", "solve", "--alphabet", "2", "--a", "abc", "--b", "ab"],
+            ["orbit-report", "--rep", "REP", "--a", "ab", "--b", "ba", "--g", "z", "--basepoint", '{"model": "cayley", "word": "e"}'],
+            ["check-cat0", "--model", "tree", "--tree-file", "TREE", "--trials", "3"],
         ],
-        ids=["cstar-nan", "cstar-inf", "c-minus-inf", "seed-negative", "tolerance-nan"],
+        ids=["cstar-nan", "cstar-inf", "c-minus-inf", "seed-negative", "tolerance-nan", "word-a", "word-g", "tree-len-1e308"],
     )
-    def test_bad_number_is_usage_error(self, capsys, hyp_map_files, flags):
-        code, out, err = run(capsys, [hyp_map_files[0] if f == "MAP" else f for f in flags])
+    def test_bad_number_is_usage_error(self, capsys, tmp_path, hyp_map_files, free_rep_file, flags):
+        tree = tmp_path / "tree.json"
+        tree.write_text('{"vertices": ["a", "b", "c"], "edges": [{"a": "a", "b": "b", "len": 1e308}, {"a": "b", "b": "c", "len": 1}]}')
+        files = {"MAP": hyp_map_files[0], "REP": free_rep_file, "TREE": str(tree)}
+        code, out, err = run(capsys, [files.get(f, f) for f in flags])
         assert code == 64
         assert out == ""
         assert "Traceback" not in err
@@ -387,19 +402,22 @@ class TestFuzz:
             ("basepoint", '{"model": "cayley", "word": "a", "letter": "b", "t": "x"}'),
             ("tree-file", '{"vertices": ["a", "b"], "edges": [{"a": "a", "b": "b", "len": NaN}]}'),
             ("rep", '{"space": {"model": "cayley", "rank": -Infinity}, "generators": [{"word": "a"}]}'),
+            ("basepoint", '{"model": "cayley", "word": "z"}'),
+            ("hyperbolic-basepoint", '{"model": "hyperbolic", "coords": [0, 1, 0]}'),
         ],
         ids=[
             "tree-len", "matrix-string", "matrix-ragged", "dim-string", "word-number", "basepoint-word", "basepoint-t",
-            "len-nan", "rank-infinity",
+            "len-nan", "rank-infinity", "basepoint-beyond-alphabet", "basepoint-off-sheet",
         ],
     )
-    def test_wrongly_typed_json_is_config_error(self, capsys, tmp_path, free_rep_file, entry, text):
+    def test_wrongly_typed_json_is_config_error(self, capsys, tmp_path, free_rep_file, hyp_rep_file, entry, text):
         path = tmp_path / "input.json"
         path.write_text(text)
         argv = {
             "tree-file": ["check-cat0", "--model", "tree", "--tree-file", str(path), "--trials", "3"],
             "rep": ["estimate-cstar", "--rep", str(path), "--trials", "3"],
             "basepoint": ["orbit-report", "--rep", free_rep_file, "--a", "ab", "--b", "ba", "--basepoint", text],
+            "hyperbolic-basepoint": ["orbit-report", "--rep", hyp_rep_file, "--a", "a", "--b", "a", "--basepoint", text],
         }[entry]
         code, out, err = run(capsys, argv)
         assert code == 65
@@ -422,6 +440,13 @@ class TestFuzz:
         code, out, err = run(capsys, ["estimate-cstar", "--rep", str(path), "--trials", "3"])
         assert (code, out) == (64, "")
         assert message in err
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "human"])
+    def test_non_finite_report_is_refused_before_output(self, capsys, fmt):
+        report = {"c_hat": 0.5, "table": [{"ratio": 0.5}, {"ratio": float("nan")}]}
+        with pytest.raises(DomainError, match="out of range"):
+            _emit(report, fmt)
+        assert capsys.readouterr().out == ""
 
     def test_null_coordinate_is_usage_error(self, capsys, tmp_path):
         rep = Representation(EuclideanSpace(2), [EuclideanIsometry(np.eye(2), [1.0, 0.0])], check_samples=5)

@@ -167,6 +167,15 @@ class TestHomotopy:
         assert err <= 1e-12
         assert homotopy_width_inf(h) == pytest.approx(3.0)
 
+    @pytest.mark.parametrize("samples", [2, 6, 10])
+    def test_width_2_error_vanishes_on_a_constant_track(self, z2_rep, samples):
+        # the track length is 3 everywhere, which both Simpson rules integrate exactly
+        u = EquivariantMap(theta_graph(), z2_rep, {0: np.array([0.0, 0.0]), 1: np.array([0.5, 1.0])})
+        v = EquivariantMap(theta_graph(), z2_rep, {0: np.array([0.0, 3.0]), 1: np.array([0.5, 4.0])})
+        w, err = homotopy_width_2_detailed(GeodesicHomotopy(u, v), samples)
+        assert w == pytest.approx(3.0 * math.sqrt(3.0), abs=1e-12)
+        assert err <= 1e-12
+
     def test_width_2_linear_track(self, z2_rep):
         # track length is x along a unit edge: integral of x^2 is 1/3
         graph = FundamentalGraph([0, 1], [Edge(0, 1, 1.0, ()), Edge(1, 0, 1.0, ())])
@@ -198,3 +207,52 @@ class TestHomotopy:
         v = build_bouquet_map(other, np.zeros(2))
         with pytest.raises(DomainError):
             GeodesicHomotopy(u, v)
+
+
+class TestEdgeData:
+    """A map evaluates its labels once; the maps derived from it reuse them."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        counts = {"evaluate": 0, "track_length": 0}
+        evaluate, track_length = Representation.evaluate, GeodesicHomotopy.track_length
+
+        def counted_evaluate(self, g):
+            counts["evaluate"] += 1
+            return evaluate(self, g)
+
+        def counted_track_length(self, k, x):
+            counts["track_length"] += 1
+            return track_length(self, k, x)
+
+        monkeypatch.setattr(Representation, "evaluate", counted_evaluate)
+        monkeypatch.setattr(GeodesicHomotopy, "track_length", counted_track_length)
+        return counts
+
+    def test_construction_evaluates_each_label_once(self, counted):
+        u, v = TestHomotopy().hyp_theta_maps()
+        assert counted["evaluate"] == 2 * len(u.graph.edges)
+        assert [g.matrix.tolist() for g in u.isometries] == [u.rho.evaluate(e.label).matrix.tolist() for e in u.graph.edges]
+
+    def test_convexity_report_evaluates_no_label(self, counted):
+        u, v = TestHomotopy().hyp_theta_maps()
+        counted["evaluate"] = 0
+        convexity_report(GeodesicHomotopy(u, v), [i / 10 for i in range(11)])
+        assert counted["evaluate"] == 0
+
+    @pytest.mark.parametrize("samples, k_sub", [(64, 64), (10, 12), (2, 4)])
+    def test_width_2_samples_each_track_once(self, counted, samples, k_sub):
+        u, v = TestHomotopy().hyp_theta_maps()
+        homotopy_width_2_detailed(GeodesicHomotopy(u, v), samples)
+        assert counted["track_length"] == len(u.graph.edges) * (k_sub + 1)
+
+    def test_with_images_measures_the_new_images(self):
+        # a quarter turn about the origin: loop length sqrt(2) |y|
+        rho = Representation(EuclideanSpace(2), [EuclideanIsometry([[0.0, -1.0], [1.0, 0.0]], [0.0, 0.0])], check_samples=5)
+        u = build_bouquet_map(rho, np.zeros(2))
+        images = {"v": np.array([3.0, 4.0])}
+        m = u.with_images(images)
+        images["v"] = np.zeros(2)  # the map keeps its own copy
+        assert m.isometries is u.isometries
+        assert np.array_equal(m.images["v"], [3.0, 4.0])
+        assert (u.edge_lengths, m.edge_lengths) == ([0.0], [EuclideanSpace(2).dist(np.array([3.0, 4.0]), np.array([-4.0, 3.0]))])

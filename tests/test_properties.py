@@ -1,4 +1,4 @@
-"""Property tests over every model space: JSON round trips and geodesic splits."""
+"""Property tests over every model space: JSON round trips, geodesic splits and map edge data."""
 
 import json
 
@@ -7,6 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from geowidth.equivariant import Edge, EquivariantMap, FundamentalGraph
+from geowidth.isometries import (
+    CayleyTranslation,
+    EuclideanIsometry,
+    HyperbolicIsometry,
+    Representation,
+    TreeAutomorphism,
+)
 from geowidth.spaces import MetricTree, space_from_json
 
 from conftest import all_model_spaces
@@ -51,3 +59,40 @@ def test_geodesic_point_splits_distance(name, seed, vertices, n, data):
     tol = 1e-9 * max(1.0, d)
     assert space.dist(p, x) == pytest.approx(t * d, abs=tol)
     assert space.dist(x, q) == pytest.approx((1.0 - t) * d, abs=tol)
+
+
+def rank2_actions():
+    """A two-generator action on each model space."""
+    tripod, caterpillar, cayley = SPACES["tripod"], SPACES["caterpillar"], SPACES["cayley2"]
+    generators = {
+        "euclid2": [EuclideanIsometry([[0.0, -1.0], [1.0, 0.0]], [1.0, 0.0]), EuclideanIsometry(np.eye(2), [0.0, 2.0])],
+        "euclid5": [EuclideanIsometry(np.roll(np.eye(5), 1, axis=0), np.arange(5.0)), EuclideanIsometry(np.eye(5), np.ones(5))],
+        "hyperbolic": [HyperbolicIsometry([[2.0, 1.0], [1.0, 1.0]]), HyperbolicIsometry([[5.0, 2.0], [2.0, 1.0]])],
+        "tripod": [TreeAutomorphism(tripod, {"c": "c", "p": "q", "q": "r", "r": "p"}), TreeAutomorphism.identity(tripod)],
+        "caterpillar": [TreeAutomorphism.identity(caterpillar)] * 2,
+        "cayley2": [CayleyTranslation(cayley, (1,)), CayleyTranslation(cayley, (2, 1))],
+    }
+    return {name: Representation(SPACES[name], gens, check_samples=5) for name, gens in generators.items()}
+
+
+ACTIONS = rank2_actions()
+# a theta graph with a loop, mixed edge lengths and labels
+GRAPH = FundamentalGraph(
+    [0, 1], [Edge(0, 1, 1.0, ()), Edge(0, 1, 0.5, (1,)), Edge(1, 0, 2.0, (2, -1)), Edge(0, 0, 1.5, (2,))]
+)
+
+
+def bits(p):
+    return repr(p.tolist()) if isinstance(p, np.ndarray) else repr(p)
+
+
+@pytest.mark.parametrize("name", list(SPACES))
+@settings(max_examples=40, deadline=None)
+@given(seed=seeds, vertices=st.tuples(st.booleans(), st.booleans()))
+def test_with_images_matches_construction(name, seed, vertices):
+    rho = ACTIONS[name]
+    start, images = (dict(enumerate(endpoints(rho.space, seed + i, vertices))) for i in (0, 1))
+    moved = EquivariantMap(GRAPH, rho, start).with_images(images)
+    built = EquivariantMap(GRAPH, rho, images)
+    assert [bits(p) for p in moved._far] == [bits(p) for p in built._far]
+    assert [bits(d) for d in moved.edge_lengths] == [bits(d) for d in built.edge_lengths]
