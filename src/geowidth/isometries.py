@@ -217,9 +217,7 @@ class TreeAutomorphism(Isometry):
         if set(self.permutation) != vs or set(self.permutation.values()) != vs:
             raise DomainError("permutation must be a bijection on the tree vertices")
         for a, b, length in tree.edges:
-            ia = tree._index[self.permutation[a]]
-            ib = tree._index[self.permutation[b]]
-            k = tree._edge_by_pair.get((ia, ib))
+            k = tree._edge_between(self.permutation[a], self.permutation[b])
             if k is None:
                 raise DomainError(f"image of edge {a}-{b} is not an edge")
             if abs(tree.edges[k][2] - length) > 1e-12:
@@ -242,9 +240,7 @@ class TreeAutomorphism(Isometry):
         if p.edge is None:
             return self.tree.vertex_point(self.permutation[p.vertex])
         a, b, length = self.tree.edges[p.edge]
-        ia = self.tree._index[self.permutation[a]]
-        ib = self.tree._index[self.permutation[b]]
-        k = self.tree._edge_by_pair[(ia, ib)]
+        k = self.tree._edge_between(self.permutation[a], self.permutation[b])
         ka, _, _ = self.tree.edges[k]
         offset = p.offset if ka == self.permutation[a] else length - p.offset
         return self.tree.edge_point(k, offset)

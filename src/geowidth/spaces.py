@@ -16,8 +16,10 @@ harmonic relaxation runs on it (``local_min(y0, point_terms, iso_terms)``,
 whose solver constants are module constants); and the precondition of the
 width-constant estimator (``check_not_boundary_fixing``).  An operation a
 model does not support raises ``CapabilityError``.  The two tree models
-share one geodesic walk and one local search; they differ only in their
-anchors, vertex distance, vertex path and search candidates.
+are rooted (a finite tree at its first vertex, a Cayley tree at e) and
+share one distance, one geodesic walk along root paths and one local
+search; each supplies parents, heights, lowest common ancestors and the
+search candidates.
 
 JSON forms::
 
@@ -56,6 +58,7 @@ ARMIJO_BACKTRACK = 0.5  # step shrink factor of the hyperbolic line search
 ARMIJO_SLOPE = 1e-4  # sufficient-decrease constant of that line search
 MAX_INNER_ITERATIONS = 500  # gradient steps per hyperbolic update
 BOUNDARY_SEARCH_RADIUS = 3  # check_not_boundary_fixing: longest word searched
+VERTEX_SNAP = 1e-15  # tree geodesic_point: a vertex this near, per unit of height, is returned
 
 
 def golden_section(f: Callable[[float], float], a: float, b: float, tol: float = 1e-10) -> float:
@@ -406,69 +409,32 @@ class HyperbolicPlane(Space):
 
 
 class _TreeSpace(Space):
-    """The geodesic walk and the local search that the two tree models share.
+    """The distance, geodesic walk and local search that the two tree models share.
 
-    A vertex is named by a key (a vertex index, or a reduced word).  A
-    subclass supplies ``_anchors(p)``, the vertex keys of p's edge in the
-    edge's own orientation with their arclength from p (one pair for a
-    vertex); ``_vdist(u, v)`` and ``_vertex_path(u, v)`` between vertex
-    keys; ``_edge(u, v)``, the edge between adjacent vertices as
-    (first key, second key, length); and ``_at(a, b, r)``, the point at
-    arclength r from a on the edge (a, b).  ``_candidates(y0, point_terms,
-    iso_terms)`` gives ``local_min`` vertices and edges (vertex pairs) to search.
+    Each model roots itself once.  A vertex is named by a key (a vertex
+    index, or a reduced word) and has a parent and a height, its distance
+    to the root.  A subclass supplies ``_parent(w)``, ``_height(w)`` and
+    ``_lca(x, y)`` on vertex keys; ``_low(p)``, the lower endpoint of p's
+    edge (p's own vertex for a vertex) with p's height, so that p lies on that
+    vertex's root path; and ``_above(w, h, snap)``, the point of w's root
+    path at height h, where a vertex within ``snap`` is returned as the
+    vertex.  The geodesic p -> q climbs p's root path to the height where
+    it meets q's, then descends q's (Bridson & Haefliger II.1).
+    ``_candidates(y0, point_terms, iso_terms)`` gives ``local_min``
+    vertices and edges (vertex pairs) to search.
     """
 
-    @staticmethod
-    def _same_edge(ap, aq) -> bool:
-        return len(ap) == 2 and len(aq) == 2 and ap[0][0] == aq[0][0] and ap[1][0] == aq[1][0]
+    def _meet(self, p, q):
+        """p and q as (vertex below, height), and the height where their root paths meet."""
+        x, hp = self._low(p)
+        y, hq = self._low(q)
+        return x, hp, y, hq, min(self._height(self._lca(x, y)), hp, hq)
 
     def dist(self, p, q) -> float:
         self.validate_point(p)
         self.validate_point(q)
-        ap, aq = self._anchors(p), self._anchors(q)
-        if self._same_edge(ap, aq):
-            return abs(ap[0][1] - aq[0][1])
-        best = math.inf
-        for (u, cu) in ap:
-            for (v, cv) in aq:
-                best = min(best, cu + self._vdist(u, v) + cv)
-        return best
-
-    def _path_breakpoints(self, p, q):
-        """The geodesic p -> q as ([piece, ...], total length).
-
-        A piece is (cumulative arclength at its end, its edge (a, b, length),
-        arclength from a where it starts, +1.0 or -1.0 for its direction).
-        """
-        ap, aq = self._anchors(p), self._anchors(q)
-        if self._same_edge(ap, aq):
-            (a, op), (b, _) = ap
-            oq = aq[0][1]
-            total = abs(op - oq)
-            return [(total, self._edge(a, b), op, 1.0 if oq >= op else -1.0)], total
-        # pick the anchor combination realizing the distance
-        best = None
-        for (u, cu) in ap:
-            for (v, cv) in aq:
-                total = cu + self._vdist(u, v) + cv
-                if best is None or total < best[0] - 1e-15:
-                    best = (total, u, v, cu, cv)
-        _, u, v, cu, cv = best
-        pieces = []
-        cum = cu
-        if len(ap) == 2:  # from p to its anchor u
-            (a, op), (b, _) = ap
-            pieces.append((cum, self._edge(a, b), op, -1.0 if u == a else 1.0))
-        path = self._vertex_path(u, v)
-        for x, y in zip(path, path[1:]):
-            edge = self._edge(x, y)
-            cum += edge[2]
-            pieces.append((cum, edge, 0.0, 1.0) if x == edge[0] else (cum, edge, edge[2], -1.0))
-        total = cum + cv
-        if len(aq) == 2:  # from q's anchor v to q
-            edge = self._edge(aq[0][0], aq[1][0])
-            pieces.append((total, edge, 0.0, 1.0) if v == edge[0] else (total, edge, edge[2], -1.0))
-        return pieces, total
+        _, hp, _, hq, hm = self._meet(p, q)
+        return (hp - hm) + (hq - hm)
 
     def geodesic_point(self, p, q, t: float):
         self._check_t(t)
@@ -476,18 +442,27 @@ class _TreeSpace(Space):
             return p
         if t == 1.0:
             return q
-        pieces, total = self._path_breakpoints(p, q)
+        x, hp, y, hq, hm = self._meet(p, q)
+        up = hp - hm
+        total = up + (hq - hm)
         if total == 0.0:
             return p
         target = t * total
-        ca = 0.0
-        for cb, (a, b, length), r0, direction in pieces:
-            if target <= cb + 1e-15 and cb > ca:
-                # target may pass cb by rounding; clamp to the edge
-                r = r0 + direction * (target - ca)
-                return self._at(a, b, min(max(r, 0.0), length))
-            ca = cb
-        return q
+        # heights carry rounding relative to their size, and so does the snap
+        snap = VERTEX_SNAP * max(1.0, hp + hq)
+        if target <= up:
+            return self._above(x, hp - target, snap)
+        return self._above(y, hq - (total - target), snap)
+
+    def _vertex_path(self, u, v) -> list:
+        """The vertices of the path u -> v."""
+        m = self._lca(u, v)
+        up, down = [u], [v]
+        while up[-1] != m:
+            up.append(self._parent(up[-1]))
+        while down[-1] != m:
+            down.append(self._parent(down[-1]))
+        return up + down[-2::-1]
 
     def _segment_min(self, a, b, f):
         """Best point on the geodesic [a, b] for objective f."""
@@ -519,13 +494,14 @@ class _TreeSpace(Space):
 
 
 class MetricTree(_TreeSpace):
-    """A finite simplicial metric tree.
+    """A finite simplicial metric tree with at least one edge.
 
     ``vertices`` is a sequence of hashable ids; ``edges`` a sequence of
     (a, b, length) with length > 0.  Connectivity and acyclicity are
-    checked at construction.  All-pairs vertex distances and next-hop
-    tables are precomputed, so point distance is O(1) and interpolation
-    walks the (short) vertex path.
+    checked at construction, by one breadth-first search from the first
+    vertex that roots the tree there: each vertex index gets its parent,
+    the edge to it, its level and its height.  A distance climbs from the
+    two points to their lowest common ancestor; the state is O(V).
     """
 
     model = "tree"
@@ -546,41 +522,27 @@ class MetricTree(_TreeSpace):
         n = len(self.vertices)
         if len(self.edges) != n - 1:
             raise DomainError("a tree on n vertices has exactly n-1 edges")
+        if not self.edges:
+            raise DomainError("a tree needs at least one edge")
         # (index of a, index of b, length) per edge
         self._ends = [(self._index[a], self._index[b], length) for a, b, length in self.edges]
-        self._adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # (edge_idx, other)
-        self._edge_by_pair = {}
+        adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # (edge index, other end)
         for k, (ia, ib, _) in enumerate(self._ends):
-            self._adj[ia].append((k, ib))
-            self._adj[ib].append((k, ia))
-            self._edge_by_pair[(ia, ib)] = k
-            self._edge_by_pair[(ib, ia)] = k
-        vdist, next_hop = self._all_pairs()
-        if not np.all(np.isfinite(vdist)):
+            adj[ia].append((k, ib))
+            adj[ib].append((k, ia))
+        parents, pedges, levels, heights = [None] * n, [-1] * n, [0] * n, [0.0] * n
+        parents[0] = -1
+        order = [0]
+        for u in order:  # grows while it is walked: breadth-first from the root
+            for k, w in adj[u]:
+                if parents[w] is None:
+                    parents[w], pedges[w], levels[w] = u, k, levels[u] + 1
+                    heights[w] = heights[u] + self._ends[k][2]
+                    order.append(w)
+        if len(order) != n:
             raise DomainError("tree is not connected")
-        self._vdist = vdist.item
-        self._next_hop = next_hop.item
-
-    def _all_pairs(self):
-        n = len(self.vertices)
-        dist = np.full((n, n), np.inf)
-        nxt = np.full((n, n), -1, dtype=int)
-        for root in range(n):
-            dist[root, root] = 0.0
-            nxt[root, root] = root
-            stack = [root]
-            seen = {root}
-            while stack:
-                u = stack.pop()
-                for k, w in self._adj[u]:
-                    if w in seen:
-                        continue
-                    seen.add(w)
-                    dist[root, w] = dist[root, u] + self.edges[k][2]
-                    # first step on the path root -> w
-                    nxt[root, w] = w if u == root else nxt[root, u]
-                    stack.append(w)
-        return dist, nxt
+        self._parents, self._pedges, self._levels, self._heights = parents, pedges, levels, heights
+        self._parent, self._height = parents.__getitem__, heights.__getitem__
 
     @classmethod
     def from_json(cls, data: dict) -> "MetricTree":
@@ -638,25 +600,47 @@ class MetricTree(_TreeSpace):
             if not (0.0 <= p.offset <= self.edges[p.edge][2]):
                 raise DomainError("offset outside the edge")
 
-    # the geodesic walk's pieces, on vertex indices -------------------------
+    # the rooted tree on vertex indices -------------------------------------
 
-    def _anchors(self, p: TreePoint) -> list[tuple[int, float]]:
+    def _lca(self, i: int, j: int) -> int:
+        parents, levels = self._parents, self._levels
+        while levels[i] > levels[j]:
+            i = parents[i]
+        while levels[j] > levels[i]:
+            j = parents[j]
+        while i != j:
+            i, j = parents[i], parents[j]
+        return i
+
+    def _low(self, p: TreePoint) -> tuple[int, float]:
         if p.edge is None:
-            return [(self._index[p.vertex], 0.0)]
+            i = self._index[p.vertex]
+            return i, self._heights[i]
         ia, ib, length = self._ends[p.edge]
-        return [(ia, p.offset), (ib, length - p.offset)]
+        if self._parents[ib] == ia:
+            return ib, self._heights[ia] + p.offset
+        return ia, self._heights[ib] + (length - p.offset)
 
-    def _vertex_path(self, iu: int, iv: int) -> list[int]:
-        path = [iu]
-        while path[-1] != iv:
-            path.append(self._next_hop(path[-1], iv))
-        return path
+    def _above(self, i: int, h: float, snap: float) -> TreePoint:
+        parents, heights = self._parents, self._heights
+        while heights[i] - h > snap:
+            j = parents[i]
+            r = h - heights[j]  # arclength from the parent
+            if r > snap:
+                k = self._pedges[i]
+                ia, _, length = self._ends[k]
+                return self.edge_point(k, min(r, length) if ia == j else max(length - r, 0.0))
+            i = j
+        return TreePoint(vertex=self.vertices[i])
 
-    def _edge(self, iu: int, iv: int) -> tuple[int, int, float]:
-        return self._ends[self._edge_by_pair[(iu, iv)]]
-
-    def _at(self, ia: int, ib: int, r: float) -> TreePoint:
-        return self.edge_point(self._edge_by_pair[(ia, ib)], r)
+    def _edge_between(self, a, b) -> Optional[int]:
+        """Index of the edge joining vertices a and b, or None."""
+        ia, ib = self._index[a], self._index[b]
+        if self._parents[ia] == ib:
+            return self._pedges[ia]
+        if self._parents[ib] == ia:
+            return self._pedges[ib]
+        return None
 
     def total_length(self) -> float:
         return sum(length for _, _, length in self.edges)
@@ -754,31 +738,37 @@ class CayleyTree(_TreeSpace):
             if not (0.0 < p.t < 1.0):
                 raise DomainError("interior edge parameter must be in (0, 1)")
 
-    # the geodesic walk's pieces, on reduced words --------------------------
+    # the tree rooted at e: a word's parent drops its last letter ------------
 
-    def _anchors(self, p: CayleyPoint) -> list[tuple[words.Word, float]]:
+    _height = staticmethod(len)
+
+    @staticmethod
+    def _parent(w: words.Word) -> words.Word:
+        return w[:-1]
+
+    @staticmethod
+    def _lca(u: words.Word, v: words.Word) -> words.Word:
+        k = 0
+        for x, y in zip(u, v):
+            if x != y:
+                break
+            k += 1
+        return u[:k]
+
+    @staticmethod
+    def _low(p: CayleyPoint) -> tuple[words.Word, float]:
         if p.letter == 0:
-            return [(p.word, 0.0)]
-        far = words.multiply(p.word, (p.letter,))
-        return [(p.word, p.t), (far, 1.0 - p.t)]
+            return p.word, float(len(p.word))
+        return p.word + (p.letter,), len(p.word) + p.t
 
     @staticmethod
-    def _vdist(u: words.Word, v: words.Word) -> int:
-        return len(words.multiply(words.inverse(u), v))
-
-    @staticmethod
-    def _vertex_path(u: words.Word, v: words.Word) -> list[words.Word]:
-        path = [u]
-        for x in words.multiply(words.inverse(u), v):
-            path.append(words.multiply(path[-1], (x,)))
-        return path
-
-    @staticmethod
-    def _edge(u: words.Word, v: words.Word) -> tuple[words.Word, words.Word, float]:
-        return (u, v, 1.0) if len(v) > len(u) else (v, u, 1.0)
-
-    def _at(self, a: words.Word, b: words.Word, r: float) -> CayleyPoint:
-        return self.edge_point(a, b[-1], r)
+    def _above(w: words.Word, h: float, snap: float) -> CayleyPoint:
+        j = math.floor(h)
+        if h - j <= snap:
+            return CayleyPoint(word=w[:j])
+        if j + 1 - h <= snap:
+            return CayleyPoint(word=w[: j + 1])
+        return CayleyPoint(word=w[:j], letter=w[j], t=h - j)
 
     def random_point(self, rng: np.random.Generator):
         k = int(rng.integers(0, self.RANDOM_WORD_CAP + 1))
@@ -805,7 +795,11 @@ class CayleyTree(_TreeSpace):
         for _, a in iso_terms:
             anchor_points.append(a.apply(y0))
             anchor_points.append(a.inverse().apply(y0))
-        anchor_vertices = {w for p in anchor_points for w, _ in self._anchors(p)}
+        anchor_vertices = set()  # the ends of each point's edge, nearer e first
+        for p in anchor_points:
+            anchor_vertices.add(p.word)
+            if p.letter != 0:
+                anchor_vertices.add(p.word + (p.letter,))
         # the subtree spanned by the anchors: vertices on all pairwise paths
         verts = set(anchor_vertices)
         anchors = list(anchor_vertices)

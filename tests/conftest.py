@@ -51,6 +51,13 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.write_line(f"[{status}] criterion {n}: {detail}")
 
 
+def deep_tree(n: int = 300) -> MetricTree:
+    """A seeded tree with long root paths: vertex i hangs off one of the 3 vertices before it."""
+    rng = np.random.default_rng(31)
+    edges = [(i, int(rng.integers(max(0, i - 3), i)), float(rng.uniform(0.5, 2.0))) for i in range(1, n)]
+    return MetricTree(list(range(n)), edges)
+
+
 def all_model_spaces():
     """One instance of each model, for parametrized property suites."""
     return {
@@ -64,5 +71,6 @@ def all_model_spaces():
             [0, 1, 2, 3, "h1", "h2"],
             [(0, 1, 2.0), (1, 2, 3.0), (2, 3, 1.5), (1, "h1", 0.5), (2, "h2", 2.5)],
         ),
+        "deep-tree": deep_tree(),
         "cayley2": CayleyTree(2),
     }

@@ -390,6 +390,14 @@ class TestFuzz:
         assert out == ""
         assert "Traceback" not in err
 
+    def test_tree_without_an_edge_is_usage_error(self, capsys, tmp_path):
+        tree = tmp_path / "one.json"
+        tree.write_text('{"vertices": [0], "edges": []}')
+        code, out, err = run(capsys, ["check-cat0", "--model", "tree", "--tree-file", str(tree)])
+        assert (code, out) == (64, "")
+        assert "at least one edge" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize(
         "entry, text",
         [

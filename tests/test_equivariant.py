@@ -150,11 +150,16 @@ class TestHomotopy:
     def test_width_inf_endpoint_reduction(self):
         u, v = self.hyp_theta_maps()
         h = GeodesicHomotopy(u, v)
-        w = homotopy_width_inf(h, check_samples=50)
+        w = homotopy_width_inf(h)
         vertex_max = max(
             u.space.dist(u.images[x], v.images[x]) for x in u.graph.vertices
         )
         assert w >= vertex_max - 1e-12
+        # convexity puts each edge's largest track at an endpoint
+        for k in range(len(u.graph.edges)):
+            end_max = max(h.track_length(k, 0.0), h.track_length(k, 1.0))
+            for i in range(1, 50):
+                assert h.track_length(k, i / 50) <= end_max + 1e-9
 
     def test_width_2_euclidean_hand_value(self, z2_rep):
         # single unit loop, track length constant = 3: W2 = 3

@@ -63,13 +63,14 @@ def test_geodesic_point_splits_distance(name, seed, vertices, n, data):
 
 def rank2_actions():
     """A two-generator action on each model space."""
-    tripod, caterpillar, cayley = SPACES["tripod"], SPACES["caterpillar"], SPACES["cayley2"]
+    tripod, caterpillar, deep, cayley = (SPACES[name] for name in ("tripod", "caterpillar", "deep-tree", "cayley2"))
     generators = {
         "euclid2": [EuclideanIsometry([[0.0, -1.0], [1.0, 0.0]], [1.0, 0.0]), EuclideanIsometry(np.eye(2), [0.0, 2.0])],
         "euclid5": [EuclideanIsometry(np.roll(np.eye(5), 1, axis=0), np.arange(5.0)), EuclideanIsometry(np.eye(5), np.ones(5))],
         "hyperbolic": [HyperbolicIsometry([[2.0, 1.0], [1.0, 1.0]]), HyperbolicIsometry([[5.0, 2.0], [2.0, 1.0]])],
         "tripod": [TreeAutomorphism(tripod, {"c": "c", "p": "q", "q": "r", "r": "p"}), TreeAutomorphism.identity(tripod)],
         "caterpillar": [TreeAutomorphism.identity(caterpillar)] * 2,
+        "deep-tree": [TreeAutomorphism.identity(deep)] * 2,
         "cayley2": [CayleyTranslation(cayley, (1,)), CayleyTranslation(cayley, (2, 1))],
     }
     return {name: Representation(SPACES[name], gens, check_samples=5) for name, gens in generators.items()}

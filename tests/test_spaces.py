@@ -10,6 +10,7 @@ from geowidth.spaces import (
     EuclideanSpace,
     HyperbolicPlane,
     MetricTree,
+    TreePoint,
     convexity_defect,
     project_to_segment,
     quadrilateral_defect,
@@ -19,22 +20,51 @@ from geowidth.spaces import (
 from conftest import all_model_spaces
 
 
-def tree_path_sum_oracle(tree: MetricTree, u, v) -> float:
-    """Independent BFS path-sum distance between two vertices."""
-    iu, iv = tree._index[u], tree._index[v]
-    frontier = [(iu, 0.0)]
-    seen = {iu}
-    while frontier:
-        nxt = []
-        for node, acc in frontier:
-            if node == iv:
-                return acc
-            for k, w in tree._adj[node]:
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append((w, acc + tree.edges[k][2]))
-        frontier = nxt
-    raise AssertionError("disconnected")
+def _edge_ends(tree: MetricTree, x: TreePoint):
+    """(vertex, arclength from x) for each end of x's edge; x itself if it is a vertex."""
+    if x.edge is None:
+        return [(x.vertex, 0.0)]
+    a, b, length = tree.edges[x.edge]
+    return [(a, x.offset), (b, length - x.offset)]
+
+
+def tree_path_sum_oracle(tree: MetricTree):
+    """Independent point distances: ``oracle(p)(x)`` sums the path from each end of p's edge."""
+    adj = {v: [] for v in tree.vertices}
+    for a, b, length in tree.edges:
+        adj[a].append((b, length))
+        adj[b].append((a, length))
+
+    def from_point(p: TreePoint):
+        tables = []
+        for u, cu in _edge_ends(tree, p):
+            acc, frontier = {u: cu}, [u]
+            for node in frontier:
+                for w, length in adj[node]:
+                    if w not in acc:
+                        acc[w] = acc[node] + length
+                        frontier.append(w)
+            tables.append(acc)
+
+        def dist(x: TreePoint) -> float:
+            if x.edge is not None and x.edge == p.edge:
+                return abs(x.offset - p.offset)
+            return min(acc[v] + cv for acc in tables for v, cv in _edge_ends(tree, x))
+
+        return dist
+
+    return from_point
+
+
+def recursive_tree(n: int, window: int, seed: int):
+    """Vertex i hangs off one of the ``window`` vertices before it; returns (tree, parents).
+
+    Edge i - 1 joins vertex i to its parent, in a random orientation.
+    """
+    rng = np.random.default_rng(seed)
+    parents = [None] + [int(rng.integers(max(0, i - window), i)) for i in range(1, n)]
+    ends = [(i, parents[i]) if rng.random() < 0.5 else (parents[i], i) for i in range(1, n)]
+    return MetricTree(list(range(n)), [(a, b, float(rng.uniform(0.5, 2.0))) for a, b in ends]), parents
 
 
 class TestDist:
@@ -48,15 +78,17 @@ class TestDist:
 
     def test_tree_two_edge_path(self):
         tree = MetricTree(["a", "v", "b"], [("a", "v", 2.0), ("v", "b", 3.0)])
-        d = tree.dist(tree.vertex_point("a"), tree.vertex_point("b"))
-        assert d == pytest.approx(tree_path_sum_oracle(tree, "a", "b"))
+        a, b = tree.vertex_point("a"), tree.vertex_point("b")
+        d = tree.dist(a, b)
+        assert d == pytest.approx(tree_path_sum_oracle(tree)(a)(b))
         assert d == pytest.approx(5.0)
 
     def test_tree_matches_oracle_all_pairs(self, caterpillar):
         for u in caterpillar.vertices:
+            oracle = tree_path_sum_oracle(caterpillar)(caterpillar.vertex_point(u))
             for v in caterpillar.vertices:
                 got = caterpillar.dist(caterpillar.vertex_point(u), caterpillar.vertex_point(v))
-                assert got == pytest.approx(tree_path_sum_oracle(caterpillar, u, v))
+                assert got == pytest.approx(oracle(caterpillar.vertex_point(v)))
 
     def test_model_mismatch(self, euclid2, tripod):
         with pytest.raises(ModelMismatchError):
@@ -130,6 +162,28 @@ class TestGeodesicPoint:
         m = path.geodesic_point(path.vertex_point(0), path.vertex_point(10), 0.30000000000000004)
         assert m == path.vertex_point(3)
 
+    @pytest.mark.parametrize(
+        "name", [name for name, space in all_model_spaces().items() if isinstance(space, (MetricTree, CayleyTree))]
+    )
+    def test_vertex_crossings_round_to_the_vertex(self, name):
+        # every vertex a random geodesic crosses, at its t and both float neighbours of it
+        space = all_model_spaces()[name]
+        rng = np.random.default_rng(29)
+        for _ in range(30):
+            p, q = space.random_point(rng), space.random_point(rng)
+            d = space.dist(p, q)
+            if isinstance(space, CayleyTree):  # a geodesic's vertices are prefixes of its ends' edges
+                ends = [x.word + ((x.letter,) if x.letter else ()) for x in (p, q)]
+                candidates = {w[:k] for w in ends for k in range(len(w) + 1)}
+            else:
+                candidates = space.vertices
+            for v in map(space.vertex_point, candidates):
+                t_v = space.dist(p, v) / d
+                if not (0.0 < t_v < 1.0 and space.dist(p, v) + space.dist(v, q) <= d + 1e-9):
+                    continue
+                for t in (math.nextafter(t_v, 0.0), t_v, math.nextafter(t_v, 1.0)):
+                    assert space.geodesic_point(p, q, t) == v
+
     def test_t_out_of_range(self, euclid2):
         p = euclid2.point([0, 0])
         with pytest.raises(DomainError):
@@ -142,6 +196,63 @@ class TestGeodesicPoint:
             q = hyperbolic.random_point(rng)
             p = hyperbolic.geodesic_point(p, q, float(rng.uniform()))
         assert abs(hyperbolic.minkowski(p, p) - 1.0) <= 1e-9
+
+
+class TestTreeReferee:
+    """dist and geodesic_point against the path-sum oracle on large random recursive trees."""
+
+    @staticmethod
+    def pairs(tree, parents, rng, count):
+        """Vertex and interior pairs, pairs on one edge, and pairs with one point on the other's root path."""
+
+        def vertex(lowest=0):
+            return tree.vertex_point(int(rng.integers(lowest, len(tree.vertices))))
+
+        def interior(k):
+            return tree.edge_point(k, float(rng.uniform(0.0, tree.edges[k][2])))
+
+        def edge():
+            return int(rng.integers(len(tree.edges)))
+
+        for i in range(count):
+            kind = i % 5
+            if kind == 0:
+                p, q = vertex(), vertex()
+            elif kind == 1:
+                p, q = vertex(), interior(edge())
+            elif kind == 2:
+                p, q = interior(edge()), interior(edge())
+            elif kind == 3:
+                k = edge()
+                p, q = interior(k), interior(k)
+            else:
+                q = vertex(lowest=1) if i % 2 else interior(edge())  # not the root, vertex 0
+                low, above = (q.vertex if q.edge is None else q.edge + 1), []
+                while low != 0:  # the edges of q's root path
+                    above.append(low - 1)
+                    low = parents[low]
+                p = interior(above[int(rng.integers(len(above)))])
+            yield (q, p) if (i // 10) % 2 else (p, q)
+
+    def test_thousand_vertex_tree_matches_oracle(self):
+        tree, parents = recursive_tree(1000, 24, seed=41)
+        rng = np.random.default_rng(43)
+        oracle = tree_path_sum_oracle(tree)
+        for p, q in self.pairs(tree, parents, rng, 2000):
+            from_p, from_q = oracle(p), oracle(q)
+            d = from_p(q)
+            assert tree.dist(p, q) == pytest.approx(d, abs=1e-9)
+            t = float(rng.uniform())
+            r = tree.geodesic_point(p, q, t)
+            assert from_p(r) == pytest.approx(t * d, abs=1e-9)
+            assert from_q(r) == pytest.approx((1.0 - t) * d, abs=1e-9)
+
+    def test_hundred_thousand_vertex_tree(self):
+        tree, _ = recursive_tree(100_000, 24, seed=47)
+        p, q = tree.edge_point(99_998, 0.25), tree.vertex_point(50_000)
+        d = tree_path_sum_oracle(tree)(p)(q)
+        assert d > 1000.0
+        assert tree.dist(p, q) == pytest.approx(d, abs=1e-9 * d)
 
 
 class TestTriangleDefect:
@@ -160,7 +271,7 @@ class TestTriangleDefect:
         # cross-check against the path-sum oracle
         c = tripod.geodesic_point(Q, R, 0.5)
         assert c == tripod.vertex_point("c")
-        assert tripod.dist(P, c) == pytest.approx(tree_path_sum_oracle(tripod, "p", "c"))
+        assert tripod.dist(P, c) == pytest.approx(tree_path_sum_oracle(tripod)(P)(c))
 
     def test_degenerate(self, euclid2):
         p = euclid2.point([1, 2])
@@ -260,6 +371,10 @@ class TestConstruction:
     def test_tree_positive_lengths(self):
         with pytest.raises(DomainError):
             MetricTree([0, 1], [(0, 1, 0.0)])
+
+    def test_tree_needs_an_edge(self):
+        with pytest.raises(DomainError):
+            MetricTree([0], [])
 
     def test_tree_json_roundtrip(self, caterpillar):
         rebuilt = MetricTree.from_json(caterpillar.to_json_dict())
