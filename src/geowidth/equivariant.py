@@ -99,7 +99,7 @@ class EquivariantMap:
 
     def _measure(self) -> None:
         """Far endpoint rho(label) . u(tgt) and image length of each edge."""
-        edges, images, dist = self.graph.edges, self.images, self.space.dist
+        edges, images, dist = self.graph.edges, self.images, self.space._dist
         self._far = [g.apply(images[e.tgt]) for e, g in zip(edges, self.isometries)]
         self.edge_lengths = [dist(images[e.src], b) for e, b in zip(edges, self._far)]
 
@@ -117,7 +117,7 @@ class EquivariantMap:
         if not (0.0 <= x <= 1.0):
             raise DomainError("edge coordinate outside [0, 1]")
         a, b = self.edge_endpoints(k)
-        return self.space.geodesic_point(a, b, x)
+        return self.space._geodesic_point(a, b, x)
 
 
 def build_bouquet_map(rho: Representation, basepoint) -> EquivariantMap:
@@ -195,21 +195,22 @@ class GeodesicHomotopy:
 
     def at(self, s: float, k: int, x: float):
         """H(s, .) evaluated at the point of edge k at fraction x."""
-        return self.space.geodesic_point(self.u.at(k, x), self.v.at(k, x), s)
+        self.space._check_t(s)
+        return self.space._geodesic_point(self.u.at(k, x), self.v.at(k, x), s)
 
     def map_at(self, s: float) -> EquivariantMap:
         """The intermediate map with vertex images interpolated at fraction s."""
         if not (0.0 <= s <= 1.0):
             raise DomainError("homotopy parameter outside [0, 1]")
         images = {
-            v: self.space.geodesic_point(self.u.images[v], self.v.images[v], s)
+            v: self.space._geodesic_point(self.u.images[v], self.v.images[v], s)
             for v in self.u.graph.vertices
         }
         return self.u.with_images(images)
 
     def track_length(self, k: int, x: float) -> float:
         """l_H at the point of edge k at fraction x: dist(u(x), v(x))."""
-        return self.space.dist(self.u.at(k, x), self.v.at(k, x))
+        return self.space._dist(self.u.at(k, x), self.v.at(k, x))
 
 
 def homotopy_width_inf(h: GeodesicHomotopy) -> float:
@@ -218,11 +219,11 @@ def homotopy_width_inf(h: GeodesicHomotopy) -> float:
     Distance convexity puts the per-edge maximum at an edge endpoint, so
     only endpoint pairs are examined.
     """
-    best = 0.0
+    best, dist = 0.0, h.space._dist
     for k in range(len(h.u.graph.edges)):
         au, bu = h.u.edge_endpoints(k)
         av, bv = h.v.edge_endpoints(k)
-        best = max(best, h.space.dist(au, av), h.space.dist(bu, bv))
+        best = max(best, dist(au, av), dist(bu, bv))
     return best
 
 

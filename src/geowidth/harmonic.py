@@ -93,7 +93,7 @@ def relax(u0: EquivariantMap, cfg: RelaxationConfig | None = None) -> HarmonicRe
             # guard: never accept an increase of the local objective
             if space.local_value(y_new, point_terms, iso_terms) > space.local_value(y_old, point_terms, iso_terms):
                 y_new = y_old
-            max_disp = max(max_disp, space.dist(y_old, y_new))
+            max_disp = max(max_disp, space._dist(y_old, y_new))
             images[v] = y_new
         u = u0.with_images(images)
         trace.append(energy(u))
@@ -165,7 +165,7 @@ def d_infinity(u: EquivariantMap, v: EquivariantMap) -> float:
     Distance convexity along the shared edge geodesics puts the maximum at
     an edge endpoint.
     """
-    return max(u.space.dist(u.images[w], v.images[w]) for w in u.graph.vertices)
+    return max(u.space._dist(u.images[w], v.images[w]) for w in u.graph.vertices)
 
 
 def main_lemma_ratio(u: EquivariantMap, r: HarmonicResult):

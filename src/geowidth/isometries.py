@@ -13,6 +13,10 @@ Four isometry families, one per model:
 
 Each family owns its identity, its JSON form (``to_json`` and
 ``from_json``) and its ``kind``, the name a representation into it carries.
+Public constructors and ``from_json`` check their input; ``compose``,
+``inverse`` and ``identity`` of the Euclidean and tree families build
+their results with a trusted ``_trusted`` constructor, which skips the
+orthogonality and edge checks that checked operands make redundant.
 
 A ``Representation`` assigns one isometry per generator and evaluates words
 by composition; its kind and identity are worked out from its space.
@@ -87,8 +91,15 @@ class EuclideanIsometry(Isometry):
             raise DomainError("matrix is not orthogonal")
 
     @classmethod
+    def _trusted(cls, matrix: np.ndarray, translation: np.ndarray) -> "EuclideanIsometry":
+        """The isometry of float arrays that the library built from checked ones."""
+        iso = object.__new__(cls)
+        iso.matrix, iso.translation = matrix, translation
+        return iso
+
+    @classmethod
     def identity(cls, space: EuclideanSpace) -> "EuclideanIsometry":
-        return cls(np.eye(space.dim), np.zeros(space.dim))
+        return cls._trusted(np.eye(space.dim), np.zeros(space.dim))
 
     @classmethod
     def from_json(cls, space: EuclideanSpace, data: dict) -> "EuclideanIsometry":
@@ -101,13 +112,13 @@ class EuclideanIsometry(Isometry):
         return self.matrix @ p + self.translation
 
     def compose(self, other: "EuclideanIsometry") -> "EuclideanIsometry":
-        return EuclideanIsometry(
+        return EuclideanIsometry._trusted(
             self.matrix @ other.matrix, self.matrix @ other.translation + self.translation
         )
 
     def inverse(self) -> "EuclideanIsometry":
         inv = self.matrix.T
-        return EuclideanIsometry(inv, -(inv @ self.translation))
+        return EuclideanIsometry._trusted(inv, -(inv @ self.translation))
 
     def is_identity(self) -> bool:
         n = self.translation.shape[0]
@@ -224,8 +235,15 @@ class TreeAutomorphism(Isometry):
                 raise DomainError(f"image of edge {a}-{b} has a different length")
 
     @classmethod
+    def _trusted(cls, tree: MetricTree, permutation: dict) -> "TreeAutomorphism":
+        """The automorphism of a permutation that the library built from checked ones."""
+        iso = object.__new__(cls)
+        iso.tree, iso.permutation = tree, permutation
+        return iso
+
+    @classmethod
     def identity(cls, tree: MetricTree) -> "TreeAutomorphism":
-        return cls(tree, {v: v for v in tree.vertices})
+        return cls._trusted(tree, {v: v for v in tree.vertices})
 
     @classmethod
     def from_json(cls, tree: MetricTree, data: dict) -> "TreeAutomorphism":
@@ -246,12 +264,12 @@ class TreeAutomorphism(Isometry):
         return self.tree.edge_point(k, offset)
 
     def compose(self, other: "TreeAutomorphism") -> "TreeAutomorphism":
-        return TreeAutomorphism(
+        return TreeAutomorphism._trusted(
             self.tree, {v: self.permutation[other.permutation[v]] for v in self.tree.vertices}
         )
 
     def inverse(self) -> "TreeAutomorphism":
-        return TreeAutomorphism(self.tree, {w: v for v, w in self.permutation.items()})
+        return TreeAutomorphism._trusted(self.tree, {w: v for v, w in self.permutation.items()})
 
     def is_identity(self) -> bool:
         return all(self.permutation[v] == v for v in self.tree.vertices)
@@ -378,4 +396,5 @@ class Representation:
 
 def orbit_distance(rho: Representation, y, g: words.Word, h: words.Word) -> float:
     """The orbit pseudo-metric d_y(g, h) = dist(g.y, h.y)."""
-    return rho.space.dist(rho.act(g, y), rho.act(h, y))
+    rho.space._check_point(y)
+    return rho.space._dist(rho.act(g, y), rho.act(h, y))

@@ -21,6 +21,17 @@ share one distance, one geodesic walk along root paths and one local
 search; each supplies parents, heights, lowest common ancestors and the
 search candidates.
 
+Points are checked once, where they enter.  The public ``dist`` and
+``geodesic_point`` check their points (and t), then delegate to the
+trusted kernels ``_dist`` and ``_geodesic_point``, which run on values the
+library already holds: the defect functionals and the projection check
+each input point once and then call only the kernels, as do the library's
+own callers (map measurement, homotopies, widths, relaxation, orbit
+distances).  The check is the model's ``_check_point``: ``validate_point``
+on the tree models and Euclidean space, type and shape only on the
+hyperbolic plane, whose isometry images drift off the sheet in the last
+digits.
+
 JSON forms::
 
     space:  {"model": "euclidean", "dim": n}
@@ -117,9 +128,23 @@ class Space:
     model = "abstract"
 
     def dist(self, p, q) -> float:
-        raise NotImplementedError
+        self._check_point(p)
+        self._check_point(q)
+        return self._dist(p, q)
 
     def geodesic_point(self, p, q, t: float):
+        """The point at fraction t in [0, 1] of the geodesic p -> q."""
+        self._check_t(t)
+        self._check_point(p)
+        self._check_point(q)
+        return self._geodesic_point(p, q, t)
+
+    def _dist(self, p, q) -> float:
+        """``dist`` on trusted points."""
+        raise NotImplementedError
+
+    def _geodesic_point(self, p, q, t: float):
+        """``geodesic_point`` on trusted points and a trusted t in [0, 1]."""
         raise NotImplementedError
 
     def random_point(self, rng: np.random.Generator):
@@ -127,6 +152,10 @@ class Space:
 
     def validate_point(self, p) -> None:
         raise NotImplementedError
+
+    def _check_point(self, p) -> None:
+        """The check that ``dist``, ``geodesic_point`` and the defects make on each point."""
+        self.validate_point(p)
 
     def same_point(self, p, q, tol: float = TOL) -> bool:
         return self.dist(p, q) <= tol
@@ -162,9 +191,9 @@ class Space:
         """F(y) = sum w d^2(y, p) over point terms + sum w d^2(y, A y) over isometry terms."""
         total = 0.0
         for w, p in point_terms:
-            total += w * self.dist(y, p) ** 2
+            total += w * self._dist(y, p) ** 2
         for w, a in iso_terms:
-            total += w * self.dist(y, a.apply(y)) ** 2
+            total += w * self._dist(y, a.apply(y)) ** 2
         return total
 
     def local_min(self, y0, point_terms, iso_terms):
@@ -206,15 +235,13 @@ class EuclideanSpace(Space):
                 f"expected a length-{self.dim} Euclidean vector, got {p!r}"
             )
 
-    def dist(self, p, q) -> float:
-        self.validate_point(p)
-        self.validate_point(q)
-        return float(np.linalg.norm(p - q))
+    def _dist(self, p, q) -> float:
+        v = p - q
+        if v.dtype != np.float64:  # integer or single-precision points: norm's own casts
+            return float(np.linalg.norm(v))
+        return math.sqrt(v.dot(v))  # np.linalg.norm's own path for a float vector, bit for bit
 
-    def geodesic_point(self, p, q, t: float):
-        self._check_t(t)
-        self.validate_point(p)
-        self.validate_point(q)
+    def _geodesic_point(self, p, q, t: float):
         if t == 0.0:
             return p
         if t == 1.0:
@@ -264,6 +291,15 @@ def _end_diff(a: float, b: float) -> float:
     return a - b
 
 
+def _sheet_point(r0: float, r1: float, r2: float) -> np.ndarray:
+    """The point (r0, r1, r2) scaled onto the upper hyperboloid sheet."""
+    m = r0 * r0 - r1 * r1 - r2 * r2
+    if not (m > 0.0 and r0 > 0.0):  # NaN included
+        raise InvalidPointError("point is not on the upper hyperboloid sheet")
+    n = math.sqrt(m)
+    return np.array([r0 / n, r1 / n, r2 / n])
+
+
 class HyperbolicPlane(Space):
     """Hyperboloid (Minkowski) model; pairing <x,y> = x0 y0 - x1 y1 - x2 y2."""
 
@@ -283,40 +319,46 @@ class HyperbolicPlane(Space):
         return float(p[0] * q[0] - p[1] * q[1] - p[2] * q[2])
 
     def normalize(self, x: np.ndarray) -> np.ndarray:
-        m = self.minkowski(x, x)
-        if not (m > 0.0 and x[0] > 0.0):  # NaN included
-            raise InvalidPointError("point is not on the upper hyperboloid sheet")
-        return x / math.sqrt(m)
+        return _sheet_point(*x.tolist())
 
-    def validate_point(self, p) -> None:
+    def _check_point(self, p) -> None:
+        # type and shape only: isometry images of long words leave the sheet
+        # by more than validate_point's absolute 1e-6
         if not isinstance(p, np.ndarray) or p.shape != (3,):
             raise ModelMismatchError(f"expected a hyperboloid point, got {p!r}")
+
+    def validate_point(self, p) -> None:
+        self._check_point(p)
         if abs(self.minkowski(p, p) - 1.0) > 1e-6 or p[0] <= 0.0:
             raise InvalidPointError("point violates x0^2 - x1^2 - x2^2 = 1, x0 > 0")
 
-    def dist(self, p, q) -> float:
-        if not (isinstance(p, np.ndarray) and isinstance(q, np.ndarray) and p.shape == (3,) and q.shape == (3,)):
-            raise ModelMismatchError("hyperbolic distance expects hyperboloid points")
+    # The kernels run on Python floats: the same IEEE operations, in the same
+    # order, as numpy scalars, at a fraction of the cost on 3-vectors.
+
+    def _dist(self, p, q) -> float:
         # Difference form 2 asinh(|p - q|_M / 2) is stable near coincident
         # points, where acosh(<p, q>) loses half the significant digits.
-        v = p - q
-        s = v[1] * v[1] + v[2] * v[2] - v[0] * v[0]
+        p0, p1, p2 = p.tolist()
+        q0, q1, q2 = q.tolist()
+        v0, v1, v2 = p0 - q0, p1 - q1, p2 - q2
+        s = v1 * v1 + v2 * v2 - v0 * v0
         if s <= 0.0:
             return 0.0
         return 2.0 * math.asinh(0.5 * math.sqrt(s))
 
-    def geodesic_point(self, p, q, t: float):
-        self._check_t(t)
+    def _geodesic_point(self, p, q, t: float):
         if t == 0.0:
             return p
         if t == 1.0:
             return q
-        d = self.dist(p, q)
+        d = self._dist(p, q)
         if d == 0.0:
             return p
         s = math.sinh(d)
-        r = (math.sinh((1.0 - t) * d) / s) * p + (math.sinh(t * d) / s) * q
-        return self.normalize(r)
+        a, b = math.sinh((1.0 - t) * d) / s, math.sinh(t * d) / s
+        p0, p1, p2 = p.tolist()
+        q0, q1, q2 = q.tolist()
+        return _sheet_point(a * p0 + b * q0, a * p1 + b * q1, a * p2 + b * q2)
 
     def from_polar(self, radius: float, angle: float) -> np.ndarray:
         return np.array(
@@ -345,7 +387,7 @@ class HyperbolicPlane(Space):
         ambient = np.zeros(3)
         for w, p in point_terms:
             h = self.minkowski(y, p)
-            phi = self.dist(y, p)
+            phi = self._dist(y, p)
             ambient += w * 2.0 * _safe_ratio(phi, h) * (_J @ p)
         for w, b in iso_mats:
             by = b @ y
@@ -430,14 +472,11 @@ class _TreeSpace(Space):
         y, hq = self._low(q)
         return x, hp, y, hq, min(self._height(self._lca(x, y)), hp, hq)
 
-    def dist(self, p, q) -> float:
-        self.validate_point(p)
-        self.validate_point(q)
+    def _dist(self, p, q) -> float:
         _, hp, _, hq, hm = self._meet(p, q)
         return (hp - hm) + (hq - hm)
 
-    def geodesic_point(self, p, q, t: float):
-        self._check_t(t)
+    def _geodesic_point(self, p, q, t: float):
         if t == 0.0:
             return p
         if t == 1.0:
@@ -466,10 +505,10 @@ class _TreeSpace(Space):
 
     def _segment_min(self, a, b, f):
         """Best point on the geodesic [a, b] for objective f."""
-        if self.dist(a, b) < 1e-15:
+        if self._dist(a, b) < 1e-15:
             return a, f(a)
-        s = golden_section(lambda s: f(self.geodesic_point(a, b, s)), 0.0, 1.0, INNER_TOLERANCE)
-        candidates = [a, self.geodesic_point(a, b, s), b]
+        s = golden_section(lambda s: f(self._geodesic_point(a, b, s)), 0.0, 1.0, INNER_TOLERANCE)
+        candidates = [a, self._geodesic_point(a, b, s), b]
         vals = [f(p) for p in candidates]
         i = int(np.argmin(vals))
         return candidates[i], vals[i]
@@ -844,17 +883,27 @@ def space_from_json(data: dict) -> Space:
 # comparison-inequality defects (signed; >= 0 means the inequality holds)
 
 
+def _check_points(space: Space, *points) -> None:
+    for p in points:
+        space._check_point(p)
+
+
 def triangle_defect(space: Space, P, Q, R, lam: float) -> float:
     """RHS - LHS of the CAT(0) triangle comparison at fraction lam on [Q, R]."""
     if not (0.0 <= lam <= 1.0):
         raise DomainError("lambda outside [0, 1]")
-    q_lam = space.geodesic_point(Q, R, lam)
-    d_pq = space.dist(P, Q)
-    d_pr = space.dist(P, R)
-    d_qr = space.dist(Q, R)
-    d_pql = space.dist(P, q_lam)
-    rhs = (1.0 - lam) * d_pq**2 + lam * d_pr**2 - lam * (1.0 - lam) * d_qr**2
-    return rhs - d_pql**2
+    _check_points(space, P, Q, R)
+    dist = space._dist
+    q_lam = space._geodesic_point(Q, R, lam)
+    d_pq = dist(P, Q)
+    d_pr = dist(P, R)
+    d_qr = dist(Q, R)
+    d_pql = dist(P, q_lam)
+    try:
+        rhs = (1.0 - lam) * d_pq**2 + lam * d_pr**2 - lam * (1.0 - lam) * d_qr**2
+        return rhs - d_pql**2
+    except OverflowError as e:
+        raise DomainError(f"distances too large to square: {e}") from None
 
 
 def quadrilateral_defect(space: Space, P, Q, R, S, t: float, alpha: float) -> float:
@@ -864,26 +913,35 @@ def quadrilateral_defect(space: Space, P, Q, R, S, t: float, alpha: float) -> fl
     """
     if not (0.0 <= t <= 1.0 and 0.0 <= alpha <= 1.0):
         raise DomainError("t and alpha must lie in [0, 1]")
-    p_t = space.geodesic_point(P, S, t)
-    q_t = space.geodesic_point(Q, R, t)
-    d_pq = space.dist(P, Q)
-    d_rs = space.dist(R, S)
-    d_ps = space.dist(P, S)
-    d_qr = space.dist(Q, R)
-    lhs = space.dist(p_t, q_t) ** 2
-    rhs = (
-        (1.0 - t) * d_pq**2
-        + t * d_rs**2
-        - t * (1.0 - t) * (alpha * (d_ps - d_qr) ** 2 + (1.0 - alpha) * (d_rs - d_pq) ** 2)
-    )
+    _check_points(space, P, Q, R, S)
+    dist, geodesic_point = space._dist, space._geodesic_point
+    p_t = geodesic_point(P, S, t)
+    q_t = geodesic_point(Q, R, t)
+    d_pq = dist(P, Q)
+    d_rs = dist(R, S)
+    d_ps = dist(P, S)
+    d_qr = dist(Q, R)
+    d_t = dist(p_t, q_t)
+    try:
+        lhs = d_t**2
+        rhs = (
+            (1.0 - t) * d_pq**2
+            + t * d_rs**2
+            - t * (1.0 - t) * (alpha * (d_ps - d_qr) ** 2 + (1.0 - alpha) * (d_rs - d_pq) ** 2)
+        )
+    except OverflowError as e:
+        raise DomainError(f"distances too large to square: {e}") from None
     return rhs - lhs
 
 
 def convexity_defect(space: Space, P, Q, R, S, t: float) -> float:
     """Slack in d(P_t, Q_t) <= (1-t) d(P,Q) + t d(R,S) (distance convexity)."""
-    p_t = space.geodesic_point(P, S, t)
-    q_t = space.geodesic_point(Q, R, t)
-    return (1.0 - t) * space.dist(P, Q) + t * space.dist(R, S) - space.dist(p_t, q_t)
+    space._check_t(t)
+    _check_points(space, P, Q, R, S)
+    dist, geodesic_point = space._dist, space._geodesic_point
+    p_t = geodesic_point(P, S, t)
+    q_t = geodesic_point(Q, R, t)
+    return (1.0 - t) * dist(P, Q) + t * dist(R, S) - dist(p_t, q_t)
 
 
 def project_to_segment(space: Space, a, b, y):
@@ -892,8 +950,10 @@ def project_to_segment(space: Space, a, b, y):
     The objective s -> dist(y, geodesic_point(a, b, s)) is convex on a
     CAT(0) space, so golden-section search finds the global minimum.
     """
+    _check_points(space, a, b, y)
+
     def objective(s: float) -> float:
-        return space.dist(y, space.geodesic_point(a, b, s))
+        return space._dist(y, space._geodesic_point(a, b, s))
 
     s_star = golden_section(objective, 0.0, 1.0)
     # snap to the endpoints when the optimum sits on the boundary
@@ -901,4 +961,4 @@ def project_to_segment(space: Space, a, b, y):
         s_star = 0.0
     elif objective(1.0) <= objective(s_star):
         s_star = 1.0
-    return space.geodesic_point(a, b, s_star), s_star
+    return space._geodesic_point(a, b, s_star), s_star

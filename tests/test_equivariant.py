@@ -147,6 +147,14 @@ class TestHomotopy:
             assert u.space.dist(m0.images[w], u.images[w]) <= 1e-12
             assert u.space.dist(m1.images[w], v.images[w]) <= 1e-12
 
+    def test_parameter_outside_unit_interval(self):
+        h = GeodesicHomotopy(*self.hyp_theta_maps())
+        for s in (-0.1, 1.5):
+            with pytest.raises(DomainError):
+                h.at(s, 0, 0.5)
+            with pytest.raises(DomainError):
+                h.map_at(s)
+
     def test_width_inf_endpoint_reduction(self):
         u, v = self.hyp_theta_maps()
         h = GeodesicHomotopy(u, v)

@@ -34,6 +34,23 @@ class TestEuclideanIsometry:
         assert np.allclose(g.inverse().apply(g.apply(p)), p)
         assert g.compose(g.inverse()).is_identity()
 
+    def test_compose_inverse_identity_skip_the_orthogonality_check(self, monkeypatch):
+        g = EuclideanIsometry(rotation2(0.3), [1.0, 2.0])
+        h = EuclideanIsometry(rotation2(-1.1), [0.5, 0.0])
+        checked = EuclideanIsometry(g.matrix @ h.matrix, g.matrix @ h.translation + g.translation)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("orthogonality re-checked")
+
+        monkeypatch.setattr(np, "allclose", refuse)
+        gh, gi, e = g.compose(h), g.inverse(), EuclideanIsometry.identity(EuclideanSpace(2))
+        monkeypatch.undo()
+        # bit for bit what the checking constructor builds
+        assert (gh.matrix.tolist(), gh.translation.tolist()) == (checked.matrix.tolist(), checked.translation.tolist())
+        inv = EuclideanIsometry(g.matrix.T, -(g.matrix.T @ g.translation))
+        assert (gi.matrix.tolist(), gi.translation.tolist()) == (inv.matrix.tolist(), inv.translation.tolist())
+        assert (e.matrix.tolist(), e.translation.tolist()) == (np.eye(2).tolist(), [0.0, 0.0])
+
     def test_rejects_non_orthogonal(self):
         with pytest.raises(DomainError):
             EuclideanIsometry([[2.0, 0.0], [0.0, 1.0]], [0.0, 0.0])
@@ -122,6 +139,36 @@ class TestTreeAutomorphism:
         y = g.apply(x)
         assert tree.dist(y, tree.vertex_point("q")) == pytest.approx(0.75)
         assert tree.dist(y, tree.vertex_point("c")) == pytest.approx(0.25)
+
+    def test_compose_inverse_identity_skip_the_edge_check(self, monkeypatch):
+        # the heap-shaped 20-edge tree of the acceptance suite
+        tree = MetricTree(list(range(21)), [(i, (i - 1) // 2, 0.5 + 0.35 * (i % 5)) for i in range(1, 21)])
+        g = TreeAutomorphism(tree, {v: v for v in tree.vertices})
+        calls, edge_between = [], tree._edge_between
+        monkeypatch.setattr(tree, "_edge_between", lambda a, b: calls.append((a, b)) or edge_between(a, b))
+        gg, gi, e = g.compose(g), g.inverse(), TreeAutomorphism.identity(tree)
+        assert calls == []
+        assert gg.permutation == gi.permutation == e.permutation == g.permutation
+
+    def test_trusted_permutations_match_the_checking_constructor(self, monkeypatch):
+        # a 20-edge star with equal edges: every leaf permutation is an automorphism
+        leaves = list(range(1, 21))
+        tree = MetricTree([0] + leaves, [(0, v, 1.0) for v in leaves])
+        shift = TreeAutomorphism(tree, {0: 0, **{v: v % 20 + 1 for v in leaves}})
+        swap = TreeAutomorphism(tree, {0: 0, **{v: v for v in leaves}, 1: 2, 2: 1})
+        calls, edge_between = [], tree._edge_between
+        monkeypatch.setattr(tree, "_edge_between", lambda a, b: calls.append((a, b)) or edge_between(a, b))
+        products = [shift.compose(swap), swap.compose(shift), shift.inverse(), shift.compose(shift.inverse())]
+        assert calls == []
+        monkeypatch.undo()
+        assert products[0].permutation[1] == shift.permutation[2] == 3
+        assert products[1].permutation[1] == swap.permutation[2] == 1
+        assert products[3].is_identity()
+        for g in products:
+            checked = TreeAutomorphism(tree, g.permutation)
+            assert g.permutation == checked.permutation
+            p = tree.edge_point(0, 0.25)
+            assert g.apply(p) == checked.apply(p)
 
     def test_length_incompatible_rejected(self):
         tree = MetricTree(["c", "p", "q"], [("c", "p", 1.0), ("c", "q", 2.0)])

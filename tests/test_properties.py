@@ -1,6 +1,7 @@
-"""Property tests over every model space: JSON round trips, geodesic splits and map edge data."""
+"""Property tests over every model space: JSON round trips, geodesic splits, map edge data and the trusted kernels."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -97,3 +98,94 @@ def test_with_images_matches_construction(name, seed, vertices):
     built = EquivariantMap(GRAPH, rho, images)
     assert [bits(p) for p in moved._far] == [bits(p) for p in built._far]
     assert [bits(d) for d in moved.edge_lengths] == [bits(d) for d in built.edge_lengths]
+
+
+# ---------------------------------------------------------------------------
+# the trusted kernels against the formulas they replace, bit for bit
+
+
+def reference_dist(space, p, q):
+    """The numpy-vector distance formula that the model's kernel replaces (None: none replaced)."""
+    if space.model == "euclidean":
+        return float(np.linalg.norm(p - q))
+    if space.model == "hyperbolic":
+        v = p - q
+        s = v[1] * v[1] + v[2] * v[2] - v[0] * v[0]
+        return 0.0 if s <= 0.0 else 2.0 * math.asinh(0.5 * math.sqrt(s))
+    return None
+
+
+def reference_geodesic_point(space, p, q, t):
+    """The numpy-vector hyperboloid geodesic that the hyperbolic kernel replaces."""
+    if t == 0.0:
+        return p
+    if t == 1.0:
+        return q
+    d = reference_dist(space, p, q)
+    if d == 0.0:
+        return p
+    s = math.sinh(d)
+    return reference_normalize((math.sinh((1.0 - t) * d) / s) * p + (math.sinh(t * d) / s) * q)
+
+
+def reference_normalize(x):
+    """The numpy-vector scaling onto the hyperboloid sheet that ``_sheet_point`` replaces."""
+    return x / math.sqrt(float(x[0] * x[0] - x[1] * x[1] - x[2] * x[2]))
+
+
+def kernel_pair(space, seed, near, scale):
+    """Two seeded points; near-coincident when ``near``, hyperbolic ones out to radius 10."""
+    rng = np.random.default_rng(seed)
+    if space.model == "hyperbolic":
+        r, a = float(rng.uniform(0.0, 10.0)), float(rng.uniform(0.0, 2.0 * math.pi))
+        p = space.from_polar(r, a)
+        if near:
+            return p, space.from_polar(r + scale * float(rng.uniform(-1.0, 1.0)), a + scale * float(rng.uniform(-1.0, 1.0)))
+        return p, space.from_polar(float(rng.uniform(0.0, 10.0)), float(rng.uniform(0.0, 2.0 * math.pi)))
+    p, q = space.random_point(rng), space.random_point(rng)
+    if near:
+        q = p + scale * rng.standard_normal(p.shape) if space.model == "euclidean" else space.geodesic_point(p, q, scale)
+    return p, q
+
+
+@pytest.mark.parametrize("name", list(SPACES))
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=seeds,
+    near=st.booleans(),
+    scale=st.sampled_from([1e-15, 1e-12, 1e-9, 1e-6, 1e-3]),
+    t=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+)
+def test_kernels_match_reference_and_public_calls(name, seed, near, scale, t):
+    space = SPACES[name]
+    p, q = kernel_pair(space, seed, near, scale)
+    d = space._dist(p, q)
+    x = space._geodesic_point(p, q, t)
+    assert bits(space.dist(p, q)) == bits(d)
+    assert bits(space.geodesic_point(p, q, t)) == bits(x)
+    if reference_dist(space, p, q) is not None:
+        assert bits(d) == bits(reference_dist(space, p, q))
+    if space.model == "hyperbolic":
+        assert bits(x) == bits(reference_geodesic_point(space, p, q, t))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=seeds,
+    scale=st.floats(1e-6, 1e6),
+    tangent=st.floats(0.0, 5.0),
+)
+def test_normalize_and_exp_match_reference(seed, scale, tangent):
+    space = SPACES["hyperbolic"]
+    rng = np.random.default_rng(seed)
+    p = space.from_polar(float(rng.uniform(0.0, 10.0)), float(rng.uniform(0.0, 2.0 * math.pi)))
+    assert bits(space.normalize(scale * p)) == bits(reference_normalize(scale * p))
+    # a tangent vector at p (<p, v> = 0) of length ``tangent``
+    w = rng.standard_normal(3)
+    w = w - space.minkowski(p, w) * p
+    v = (tangent / math.sqrt(-space.minkowski(w, w))) * w
+    nrm2 = -space.minkowski(v, v)
+    ref = p if nrm2 <= 0.0 else reference_normalize(
+        math.cosh(math.sqrt(nrm2)) * p + (math.sinh(math.sqrt(nrm2)) / math.sqrt(nrm2)) * v
+    )
+    assert bits(space.exp(p, v)) == bits(ref)

@@ -90,6 +90,17 @@ class TestDist:
                 got = caterpillar.dist(caterpillar.vertex_point(u), caterpillar.vertex_point(v))
                 assert got == pytest.approx(oracle(caterpillar.vertex_point(v)))
 
+    @pytest.mark.parametrize(
+        "dtype, x", [(np.int64, 4_000_000_000), (np.int32, 40_000), (np.float32, 1.1)]
+    )
+    def test_euclidean_other_dtypes_as_norm(self, euclid2, dtype, x):
+        # squaring 4e9 in int64 wraps, as norm's cast to float does not;
+        # float32 points keep norm's single-precision square root
+        p = np.array([x, 3], dtype=dtype)
+        q = np.array([0, -1], dtype=dtype)
+        assert euclid2.dist(p, q) == float(np.linalg.norm(p - q))
+        assert euclid2.dist(p, q) > 0.0
+
     def test_model_mismatch(self, euclid2, tripod):
         with pytest.raises(ModelMismatchError):
             euclid2.dist(tripod.vertex_point("c"), tripod.vertex_point("p"))
@@ -323,6 +334,60 @@ class TestQuadrilateralDefect:
         p = euclid2.point([0, 0])
         with pytest.raises(DomainError):
             quadrilateral_defect(euclid2, p, p, p, p, 1.2, 0.0)
+
+
+def foreign_point(space):
+    """A point of another model."""
+    return np.array([1.0, 0.0, 0.0]) if isinstance(space, CayleyTree) else CayleyPoint()
+
+
+class TestBoundaryChecks:
+    """Public entry points check each point once, then run the trusted kernels."""
+
+    @pytest.mark.parametrize("name", list(all_model_spaces()))
+    def test_quadrilateral_checks_each_point_once(self, name, monkeypatch):
+        space = all_model_spaces()[name]
+        rng = np.random.default_rng(5)
+        pts = [space.random_point(rng) for _ in range(4)]
+        checked, check = [], space._check_point
+        monkeypatch.setattr(space, "_check_point", lambda p: checked.append(id(p)) or check(p))
+        quadrilateral_defect(space, *pts, 0.5, 0.5)
+        assert sorted(checked) == sorted(id(p) for p in pts)
+
+    @pytest.mark.parametrize("name", list(all_model_spaces()))
+    def test_public_calls_refuse_a_foreign_point(self, name):
+        space = all_model_spaces()[name]
+        p, x = space.random_point(np.random.default_rng(6)), foreign_point(space)
+        calls = [
+            lambda: space.dist(p, x),
+            lambda: space.dist(x, p),
+            lambda: space.geodesic_point(p, x, 0.5),
+            lambda: space.geodesic_point(x, p, 0.0),
+        ]
+        for call in calls:
+            with pytest.raises(ModelMismatchError):
+                call()
+
+    @pytest.mark.parametrize("t", [-0.1, 1.5])
+    @pytest.mark.parametrize("name", list(all_model_spaces()))
+    def test_defects_refuse_t_outside_unit_interval(self, name, t):
+        space = all_model_spaces()[name]
+        rng = np.random.default_rng(7)
+        P, Q, R, S = (space.random_point(rng) for _ in range(4))
+        with pytest.raises(DomainError):
+            triangle_defect(space, P, Q, R, t)
+        with pytest.raises(DomainError):
+            quadrilateral_defect(space, P, Q, R, S, t, 0.5)
+        with pytest.raises(DomainError):
+            convexity_defect(space, P, Q, R, S, t)
+
+    def test_distances_too_large_to_square(self):
+        tree = MetricTree(["a", "b", "c"], [("a", "b", 1e200), ("b", "c", 1.0)])
+        P, Q, R = (tree.vertex_point(v) for v in "abc")
+        with pytest.raises(DomainError):
+            triangle_defect(tree, P, Q, R, 0.5)
+        with pytest.raises(DomainError):
+            quadrilateral_defect(tree, P, Q, R, P, 0.5, 0.5)
 
 
 class TestProjection:
