@@ -112,15 +112,17 @@ def cmd_check_cat0(ns) -> int:
     rng = np.random.default_rng(ns.seed)
     grid = [0.0, 0.25, 0.5, 0.75, 1.0]
     min_tri = min_quad = min_conv = float("inf")
+    ok = True
     for _ in range(ns.trials):
         pts = [space.random_point(rng) for _ in range(4)]
         lam = float(rng.uniform(0.0, 1.0))
-        min_tri = min(min_tri, triangle_defect(space, pts[0], pts[1], pts[2], lam))
-        for t in grid:
-            for alpha in grid:
-                min_quad = min(min_quad, quadrilateral_defect(space, *pts, t, alpha))
-            min_conv = min(min_conv, convexity_defect(space, *pts, t))
-    ok = bool(min(min_tri, min_quad, min_conv) >= -1e-9)
+        tri = triangle_defect(space, pts[0], pts[1], pts[2], lam)
+        quad = [quadrilateral_defect(space, *pts, t, alpha) for t in grid for alpha in grid]
+        conv = [convexity_defect(space, *pts, t) for t in grid]
+        min_tri, min_quad, min_conv = min(min_tri, tri), min(min_quad, *quad), min(min_conv, *conv)
+        # a defect is a difference of squared distances, each within a few ulps of D^2
+        d = max(space.dist(p, q) for i, p in enumerate(pts) for q in pts[i + 1:])
+        ok = ok and min(tri, *quad, *conv) >= -(1e-9 + 16 * 2.0**-52 * d * d)
     report = _base_report(ns)
     report.update(
         {

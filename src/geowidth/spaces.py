@@ -30,7 +30,9 @@ own callers (map measurement, homotopies, widths, relaxation, orbit
 distances).  The check is the model's ``_check_point``: ``validate_point``
 on the tree models and Euclidean space, type and shape only on the
 hyperbolic plane, whose isometry images drift off the sheet in the last
-digits.
+digits.  The hyperbolic kernels and local solver run on Python floats,
+with numpy's operations in the same order; only the solver's 3-term dot
+and matrix-vector sums, taken left to right, may differ from numpy's.
 
 JSON forms::
 
@@ -272,9 +274,6 @@ class EuclideanSpace(Space):
         return y0 + delta
 
 
-_J = np.diag([1.0, -1.0, -1.0])
-
-
 def _safe_ratio(phi: float, h: float) -> float:
     """phi / sqrt(h^2 - 1), continuous at h = 1."""
     s2 = h * h - 1.0
@@ -291,13 +290,75 @@ def _end_diff(a: float, b: float) -> float:
     return a - b
 
 
-def _sheet_point(r0: float, r1: float, r2: float) -> np.ndarray:
+# Hyperbolic arithmetic on Python floats: points are 3-tuples, an SO(2,1)
+# matrix is a row-major 9-tuple.
+
+
+def _sheet(r0: float, r1: float, r2: float) -> tuple:
     """The point (r0, r1, r2) scaled onto the upper hyperboloid sheet."""
     m = r0 * r0 - r1 * r1 - r2 * r2
     if not (m > 0.0 and r0 > 0.0):  # NaN included
         raise InvalidPointError("point is not on the upper hyperboloid sheet")
     n = math.sqrt(m)
-    return np.array([r0 / n, r1 / n, r2 / n])
+    return r0 / n, r1 / n, r2 / n
+
+
+def _h_dist(p, q) -> float:
+    # Difference form 2 asinh(|p - q|_M / 2) is stable near coincident
+    # points, where acosh(<p, q>) loses half the significant digits.
+    v0, v1, v2 = p[0] - q[0], p[1] - q[1], p[2] - q[2]
+    s = v1 * v1 + v2 * v2 - v0 * v0
+    if s <= 0.0:
+        return 0.0
+    return 2.0 * math.asinh(0.5 * math.sqrt(s))
+
+
+def _h_exp(p, v):
+    """exp_p(v); p itself when v is not spacelike."""
+    v0, v1, v2 = v
+    nrm2 = -(v0 * v0 - v1 * v1 - v2 * v2)
+    if nrm2 <= 0.0:
+        return p
+    nrm = math.sqrt(nrm2)
+    c, s = math.cosh(nrm), math.sinh(nrm) / nrm
+    return _sheet(c * p[0] + s * v0, c * p[1] + s * v1, c * p[2] + s * v2)
+
+
+def _h_apply(b, y) -> tuple:
+    b00, b01, b02, b10, b11, b12, b20, b21, b22 = b
+    y0, y1, y2 = y
+    return b00 * y0 + b01 * y1 + b02 * y2, b10 * y0 + b11 * y1 + b12 * y2, b20 * y0 + b21 * y1 + b22 * y2
+
+
+def _h_value(y, points, mats) -> float:
+    """The local objective at y: Space.local_value, with A y as an SO(2,1) product."""
+    total = 0.0
+    for w, p in points:
+        total += w * _h_dist(y, p) ** 2
+    for w, b in mats:
+        total += w * _h_dist(y, _h_apply(b, y)) ** 2
+    return total
+
+
+def _h_grad(y, points, mats) -> tuple:
+    """Riemannian gradient at y: the ambient sum of w 2 phi / sqrt(h^2 - 1) grad h, projected onto T_y;
+    h = <y, p> with grad h = J p, or h = <y, B y> with J B y + B^T J y, and J = diag(1, -1, -1)."""
+    y0, y1, y2 = y
+    a0 = a1 = a2 = 0.0
+    for w, p in points:
+        p0, p1, p2 = p
+        c = w * 2.0 * _safe_ratio(_h_dist(y, p), y0 * p0 - y1 * p1 - y2 * p2)
+        a0, a1, a2 = a0 + c * p0, a1 - c * p1, a2 - c * p2
+    for w, b in mats:
+        b00, b01, b02, b10, b11, b12, b20, b21, b22 = b
+        by0, by1, by2 = _h_apply(b, y)
+        h = y0 * by0 - y1 * by1 - y2 * by2
+        c = w * 2.0 * _safe_ratio(math.acosh(max(h, 1.0)), h)
+        a0 += c * (by0 + (b00 * y0 - b10 * y1 - b20 * y2))
+        a1 += c * ((b01 * y0 - b11 * y1 - b21 * y2) - by1)
+        a2 += c * ((b02 * y0 - b12 * y1 - b22 * y2) - by2)
+    s = y0 * a0 + y1 * a1 + y2 * a2
+    return s * y0 - a0, a1 + s * y1, a2 + s * y2
 
 
 class HyperbolicPlane(Space):
@@ -319,7 +380,7 @@ class HyperbolicPlane(Space):
         return float(p[0] * q[0] - p[1] * q[1] - p[2] * q[2])
 
     def normalize(self, x: np.ndarray) -> np.ndarray:
-        return _sheet_point(*x.tolist())
+        return np.array(_sheet(*x.tolist()))
 
     def _check_point(self, p) -> None:
         # type and shape only: isometry images of long words leave the sheet
@@ -332,19 +393,8 @@ class HyperbolicPlane(Space):
         if abs(self.minkowski(p, p) - 1.0) > 1e-6 or p[0] <= 0.0:
             raise InvalidPointError("point violates x0^2 - x1^2 - x2^2 = 1, x0 > 0")
 
-    # The kernels run on Python floats: the same IEEE operations, in the same
-    # order, as numpy scalars, at a fraction of the cost on 3-vectors.
-
     def _dist(self, p, q) -> float:
-        # Difference form 2 asinh(|p - q|_M / 2) is stable near coincident
-        # points, where acosh(<p, q>) loses half the significant digits.
-        p0, p1, p2 = p.tolist()
-        q0, q1, q2 = q.tolist()
-        v0, v1, v2 = p0 - q0, p1 - q1, p2 - q2
-        s = v1 * v1 + v2 * v2 - v0 * v0
-        if s <= 0.0:
-            return 0.0
-        return 2.0 * math.asinh(0.5 * math.sqrt(s))
+        return _h_dist(p.tolist(), q.tolist())
 
     def _geodesic_point(self, p, q, t: float):
         if t == 0.0:
@@ -358,7 +408,7 @@ class HyperbolicPlane(Space):
         a, b = math.sinh((1.0 - t) * d) / s, math.sinh(t * d) / s
         p0, p1, p2 = p.tolist()
         q0, q1, q2 = q.tolist()
-        return _sheet_point(a * p0 + b * q0, a * p1 + b * q1, a * p2 + b * q2)
+        return np.array(_sheet(a * p0 + b * q0, a * p1 + b * q1, a * p2 + b * q2))
 
     def from_polar(self, radius: float, angle: float) -> np.ndarray:
         return np.array(
@@ -373,47 +423,33 @@ class HyperbolicPlane(Space):
     # tangent-space helpers used by the harmonic relaxation ----------------
 
     def exp(self, p, v: np.ndarray) -> np.ndarray:
-        nrm2 = -(self.minkowski(v, v))
-        if nrm2 <= 0.0:
-            return p
-        nrm = math.sqrt(nrm2)
-        return self.normalize(math.cosh(nrm) * p + (math.sinh(nrm) / nrm) * v)
-
-    def tangent_norm(self, v: np.ndarray) -> float:
-        return math.sqrt(max(-(self.minkowski(v, v)), 0.0))
-
-    def _local_grad(self, y, point_terms, iso_mats):
-        """Riemannian gradient of the local objective at y."""
-        ambient = np.zeros(3)
-        for w, p in point_terms:
-            h = self.minkowski(y, p)
-            phi = self._dist(y, p)
-            ambient += w * 2.0 * _safe_ratio(phi, h) * (_J @ p)
-        for w, b in iso_mats:
-            by = b @ y
-            h = self.minkowski(y, by)
-            phi = math.acosh(max(h, 1.0))
-            grad_h = _J @ by + b.T @ (_J @ y)
-            ambient += w * 2.0 * _safe_ratio(phi, h) * grad_h
-        g = -(_J @ ambient) + float(y @ ambient) * y
-        return g
+        q = p.tolist()
+        y = _h_exp(q, v.tolist())
+        return p if y is q else np.array(y)
 
     def local_min(self, y0, point_terms, iso_terms):
-        """Riemannian gradient descent with Armijo backtracking."""
-        iso_mats = [(w, a.so21_matrix()) for w, a in iso_terms]
-        y = y0
-        f = self.local_value(y, point_terms, iso_terms)
+        """Riemannian gradient descent with Armijo backtracking, on floats converted once at entry.
+
+        A trial step that rounding carries off the sheet fails like one without enough decrease."""
+        points = [(w, tuple(p.tolist())) for w, p in point_terms]
+        mats = [(w, tuple(a.so21_matrix().ravel().tolist())) for w, a in iso_terms]
+        y = start = tuple(y0.tolist())
+        f = _h_value(y, points, mats)
         step = 0.25 / max(sum(w for w, _ in point_terms) + sum(w for w, _ in iso_terms), 1e-12)
         for _ in range(MAX_INNER_ITERATIONS):
-            g = self._local_grad(y, point_terms, iso_mats)
-            gnorm = self.tangent_norm(g)
+            g0, g1, g2 = _h_grad(y, points, mats)
+            gnorm = math.sqrt(max(-(g0 * g0 - g1 * g1 - g2 * g2), 0.0))
             if gnorm < 1e-9:
                 break
             t = step * 2.0
             improved = False
             while t * gnorm > 1e-16:
-                y_try = self.exp(y, -t * g)
-                f_try = self.local_value(y_try, point_terms, iso_terms)
+                try:
+                    y_try = _h_exp(y, (-t * g0, -t * g1, -t * g2))
+                except (InvalidPointError, OverflowError):  # a failed trial
+                    t *= ARMIJO_BACKTRACK
+                    continue
+                f_try = _h_value(y_try, points, mats)
                 if f_try <= f - ARMIJO_SLOPE * t * gnorm * gnorm:
                     # refuse steps that no longer move the objective: they only
                     # drift the iterate along flat directions of the local term
@@ -426,7 +462,7 @@ class HyperbolicPlane(Space):
                 t *= ARMIJO_BACKTRACK
             if not improved:
                 break
-        return y
+        return y0 if y is start else np.array(y)
 
     def check_not_boundary_fixing(self, rho) -> None:
         """The image must contain two hyperbolic elements with distinct axis endpoint sets."""

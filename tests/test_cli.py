@@ -99,6 +99,29 @@ class TestCheckCat0:
         assert code == 0
         assert json.loads(out)["ok"] is True
 
+    def test_large_tree_rounding_is_no_violation(self, capsys, tmp_path):
+        # vertex i hangs on one of the two before it: distances reach ~2,000, and
+        # differences of squared distances carry rounding of a few 1e-9
+        rng = np.random.default_rng(3)
+        edges = [
+            {"a": int(rng.integers(max(0, i - 2), i)), "b": i, "len": float(rng.uniform(0.5, 2.0))} for i in range(1, 5000)
+        ]
+        path = tmp_path / "tree.json"
+        path.write_text(json.dumps({"vertices": list(range(5000)), "edges": edges}))
+        argv = ["check-cat0", "--model", "tree", "--tree-file", str(path), "--trials", "20", "--seed", "4"]
+        code, out, _ = run(capsys, argv)
+        report = json.loads(out)
+        assert report["min_quadrilateral_defect"] < -1e-9
+        assert (code, report["ok"]) == (0, True)
+
+    def test_violation_beyond_rounding_fails(self, capsys, tmp_path, monkeypatch):
+        tree = MetricTree(["c", "p", "q", "r"], [("c", "p", 1.0), ("c", "q", 1.0), ("c", "r", 1.0)])
+        path = tmp_path / "tree.json"
+        path.write_text(json.dumps(tree.to_json_dict()))
+        monkeypatch.setattr("geowidth.cli.triangle_defect", lambda *args: -1e-8)
+        code, out, _ = run(capsys, ["check-cat0", "--model", "tree", "--tree-file", str(path), "--trials", "5"])
+        assert (code, json.loads(out)["ok"]) == (2, False)
+
 
 class TestWidthAndConvexity:
     def test_width_report(self, capsys, hyp_map_files):
@@ -152,6 +175,18 @@ class TestHarmonic:
         report = json.loads(out)
         assert report["converged"] is True
         assert report["e_star"] == pytest.approx(4.0, abs=1e-6)
+
+    def test_line_search_trials_off_the_sheet(self, capsys, tmp_path):
+        # from this start, the solver's line search tries steps that rounding carries off the hyperboloid
+        space = HyperbolicPlane()
+        rho = Representation(space, [HyperbolicIsometry([[1, 2], [0, 1]])], check_samples=10)
+        u0 = build_bouquet_map(rho, space.point([1.1075504827464449, -0.05680255588005624, -0.47269603497107515]))
+        path = tmp_path / "u0.json"
+        save_map(str(path), u0)
+        code, out, _ = run(capsys, ["harmonic", "--map", str(path), "--max-iterations", "200"])
+        assert code == 0
+        report = json.loads(out, parse_constant=_refuse_constant)
+        assert all(b <= a for a, b in zip(report["energy_trace"], report["energy_trace"][1:]))
 
 
 class TestEstimateCstar:

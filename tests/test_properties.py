@@ -1,4 +1,4 @@
-"""Property tests over every model space: JSON round trips, geodesic splits, map edge data and the trusted kernels."""
+"""Property tests over every model space: JSON round trips, geodesic splits, map edge data, the trusted kernels and the float hyperbolic solver."""
 
 import json
 import math
@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from geowidth import spaces
 from geowidth.equivariant import Edge, EquivariantMap, FundamentalGraph
+from geowidth.errors import InvalidPointError
 from geowidth.isometries import (
     CayleyTranslation,
     EuclideanIsometry,
@@ -16,7 +18,15 @@ from geowidth.isometries import (
     Representation,
     TreeAutomorphism,
 )
-from geowidth.spaces import MetricTree, space_from_json
+from geowidth.spaces import (
+    ARMIJO_BACKTRACK,
+    ARMIJO_SLOPE,
+    INNER_TOLERANCE,
+    MAX_INNER_ITERATIONS,
+    HyperbolicPlane,
+    MetricTree,
+    space_from_json,
+)
 
 from conftest import all_model_spaces
 
@@ -129,7 +139,7 @@ def reference_geodesic_point(space, p, q, t):
 
 
 def reference_normalize(x):
-    """The numpy-vector scaling onto the hyperboloid sheet that ``_sheet_point`` replaces."""
+    """The numpy-vector scaling onto the hyperboloid sheet that ``spaces._sheet`` replaces."""
     return x / math.sqrt(float(x[0] * x[0] - x[1] * x[1] - x[2] * x[2]))
 
 
@@ -189,3 +199,127 @@ def test_normalize_and_exp_match_reference(seed, scale, tangent):
         math.cosh(math.sqrt(nrm2)) * p + (math.sinh(math.sqrt(nrm2)) / math.sqrt(nrm2)) * v
     )
     assert bits(space.exp(p, v)) == bits(ref)
+
+
+# ---------------------------------------------------------------------------
+# the float hyperbolic solver against the numpy solver it replaces
+
+J = np.diag([1.0, -1.0, -1.0])
+LOOPS = [
+    HyperbolicIsometry(m)
+    for m in ([[1.0, 2.0], [0.0, 1.0]], [[3.0, 0.0], [0.0, 1.0 / 3.0]], [[12.0, 5.0], [7.0, 3.0]], [[0.6, -0.8], [0.8, 0.6]])
+]
+
+
+def reference_grad(space, y, point_terms, iso_mats):
+    """The numpy Riemannian gradient that ``spaces._h_grad`` replaces."""
+    ambient = np.zeros(3)
+    for w, p in point_terms:
+        h = space.minkowski(y, p)
+        ambient += w * 2.0 * spaces._safe_ratio(space._dist(y, p), h) * (J @ p)
+    for w, b in iso_mats:
+        by = b @ y
+        h = space.minkowski(y, by)
+        grad_h = J @ by + b.T @ (J @ y)
+        ambient += w * 2.0 * spaces._safe_ratio(math.acosh(max(h, 1.0)), h) * grad_h
+    return -(J @ ambient) + float(y @ ambient) * y
+
+
+def reference_local_min(space, y0, point_terms, iso_terms):
+    """The numpy solver that the float ``HyperbolicPlane.local_min`` replaces, with its off-sheet rule."""
+    iso_mats = [(w, a.so21_matrix()) for w, a in iso_terms]
+    y, f = y0, space.local_value(y0, point_terms, iso_terms)
+    step = 0.25 / max(sum(w for w, _ in point_terms) + sum(w for w, _ in iso_terms), 1e-12)
+    for _ in range(MAX_INNER_ITERATIONS):
+        g = reference_grad(space, y, point_terms, iso_mats)
+        gnorm = math.sqrt(max(-space.minkowski(g, g), 0.0))
+        if gnorm < 1e-9:
+            break
+        t = step * 2.0
+        improved = False
+        while t * gnorm > 1e-16:
+            try:
+                y_try = space.exp(y, -t * g)
+            except (InvalidPointError, OverflowError):
+                t *= ARMIJO_BACKTRACK
+                continue
+            f_try = space.local_value(y_try, point_terms, iso_terms)
+            if f_try <= f - ARMIJO_SLOPE * t * gnorm * gnorm:
+                if f - f_try <= INNER_TOLERANCE * max(1.0, abs(f)):
+                    break
+                y, f = y_try, f_try
+                step = t
+                improved = True
+                break
+            t *= ARMIJO_BACKTRACK
+        if not improved:
+            break
+    return y
+
+
+def local_instance(seed, radius, least_points=0):
+    """Seeded point terms (at least ``least_points``) and loop terms, with a start point, out to ``radius``."""
+    space = SPACES["hyperbolic"]
+    rng = np.random.default_rng(seed)
+
+    def point():
+        return space.from_polar(float(rng.uniform(0.0, radius)), float(rng.uniform(0.0, 2.0 * math.pi)))
+
+    point_terms = [(float(rng.uniform(0.2, 2.0)), point()) for _ in range(int(rng.integers(least_points, 4)))]
+    iso_terms = [(float(rng.uniform(0.2, 2.0)), LOOPS[int(rng.integers(len(LOOPS)))]) for _ in range(int(rng.integers(0, 3)))]
+    if not point_terms and not iso_terms:
+        point_terms.append((1.0, point()))
+    return point(), point_terms, iso_terms
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=seeds)
+def test_float_gradient_matches_numpy_reference(seed):
+    space = SPACES["hyperbolic"]
+    y, point_terms, iso_terms = local_instance(seed, 8.0)
+    iso_mats = [(w, a.so21_matrix()) for w, a in iso_terms]
+    ref = reference_grad(space, y, point_terms, iso_mats)
+    got = spaces._h_grad(
+        tuple(y.tolist()),
+        [(w, tuple(p.tolist())) for w, p in point_terms],
+        [(w, tuple(b.ravel().tolist())) for w, b in iso_mats],
+    )
+    assert np.max(np.abs(np.array(got) - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=seeds)
+def test_float_local_min_matches_numpy_reference(seed):
+    # two points give a positive minimum; where the infimum is 0, as for a
+    # lone parabolic loop, both solvers stop at values that rounding decides
+    space = SPACES["hyperbolic"]
+    y0, point_terms, iso_terms = local_instance(seed, 4.0, least_points=2)
+    f0 = space.local_value(y0, point_terms, iso_terms)
+    f = space.local_value(space.local_min(y0, point_terms, iso_terms), point_terms, iso_terms)
+    f_ref = space.local_value(reference_local_min(space, y0, point_terms, iso_terms), point_terms, iso_terms)
+    assert f <= f0
+    assert abs(f - f_ref) <= 1e-6 * max(abs(f_ref), 1e-12)
+
+
+class FrozenLoop:
+    """A loop isometry that offers only its SO(2,1) matrix."""
+
+    def __init__(self, a):
+        self.matrix = a.so21_matrix()
+
+    def so21_matrix(self):
+        return self.matrix
+
+
+def test_local_min_runs_on_floats_only(monkeypatch):
+    space = SPACES["hyperbolic"]
+    y0, point_terms, _ = local_instance(5, 4.0)
+    iso_terms = [(1.0, FrozenLoop(LOOPS[2]))]
+
+    def refuse(*args):
+        raise AssertionError("local_min left the float path")
+
+    for owner, name in ((HyperbolicPlane, "_dist"), (HyperbolicPlane, "exp"), (HyperbolicIsometry, "apply")):
+        monkeypatch.setattr(owner, name, refuse)
+    y = space.local_min(y0, point_terms, iso_terms)
+    assert isinstance(y, np.ndarray) and y is not y0

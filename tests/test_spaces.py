@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from geowidth.errors import DomainError, InvalidPointError, ModelMismatchError
+from geowidth.isometries import HyperbolicIsometry
 from geowidth.spaces import (
     CayleyPoint,
     CayleyTree,
@@ -463,3 +464,16 @@ class TestConstruction:
     def test_hyperbolic_bad_point(self, hyperbolic):
         with pytest.raises(InvalidPointError):
             hyperbolic.point([1, 2, 0])  # spacelike, cannot rescale onto the sheet
+
+
+class TestHyperbolicLocalMin:
+    @pytest.mark.parametrize(
+        "matrix", [[[1, 2], [0, 1]], [[3, 0], [0, 1 / 3]], [[12, 5], [7, 3]]], ids=["parabolic", "axial", "sl2z"]
+    )
+    def test_trial_steps_off_the_sheet_fail_like_armijo_trials(self, hyperbolic, matrix):
+        # long trial steps, and short ones from iterates near radius 10, can round off the sheet
+        loop = [(1.0, HyperbolicIsometry(matrix))]
+        for k in range(200):
+            y0 = hyperbolic.random_point(np.random.default_rng(k))
+            y = hyperbolic.local_min(y0, [], loop)
+            assert hyperbolic.local_value(y, [], loop) <= hyperbolic.local_value(y0, [], loop)
