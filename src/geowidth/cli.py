@@ -34,6 +34,7 @@ from .conjugacy import (
     OrbitBoundReport,
     orbit_bound_report,
     solve,
+    verify,
 )
 from .equivariant import (
     GeodesicHomotopy,
@@ -223,7 +224,7 @@ def cmd_conjugacy_solve(ns) -> int:
             "verdict": cert.verdict,
             "g": None if cert.conjugator is None else words.word_to_str(cert.conjugator),
             "radius_searched": cert.radius_searched,
-            "transcript": cert.transcript,
+            "transcript": [] if cert.conjugator is None else verify(cert.conjugator, inst)[1],
             "stats": {"enumerated": cert.enumerated, "seconds": round(cert.seconds, 6)},
         }
     )

@@ -4,18 +4,21 @@ In a free-group context ``solve`` is decided by ``free_group_oracle``, which
 reads the shortlex-least conjugator off the centralizer coset of one pair.
 In a matrix context it runs the bounded shortlex search justified by the
 linear bound |g| <= C_star * sum(|a_i| + |b_i|) + C on the conjugator
-length, and an exhausted radius gives NotConjugateUpTo.
+length, clamped to the largest ball of at most ``ENUMERATION_BUDGET`` words;
+an exhausted radius gives NotConjugateUpTo.  It evaluates each a_i and b_i
+once and tests A_i g = g B_i, as ``verify`` does, from which the command
+line takes its transcript.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from . import words
-from .errors import BudgetExceededError, CapabilityError, ConfigError, DomainError
+from .errors import CapabilityError, ConfigError, DomainError
 from .isometries import CayleyTranslation, Representation, orbit_distance
 
 POLICY_INCREMENTAL = "incremental"
@@ -55,15 +58,18 @@ class ConjugacyInstance:
         """Word equality is exact free-group equality unless a matrix rep is given."""
         return self.rep is None or self.rep.kind == CayleyTranslation.kind
 
-    def elements_equal(self, w1: words.Word, w2: words.Word) -> bool:
-        if self.is_free_context():
-            return w1 == w2
-        return self.rep.evaluate(w1).equals(self.rep.evaluate(w2))
-
     def conjugated_by(self, g: words.Word) -> bool:
-        """Whether b_i = g^-1 a_i g for every i."""
-        pairs = zip(self.lists_a, self.lists_b)
-        return all(self.elements_equal(words.conjugate(g, a), b) for a, b in pairs)
+        """Whether b_i = g^-1 a_i g for every i, as free-group words."""
+        return all(words.conjugate(g, a) == b for a, b in zip(self.lists_a, self.lists_b))
+
+    def evaluated_pairs(self) -> list:
+        """The isometries (A_i, B_i) of the pairs under the representation."""
+        return [(self.rep.evaluate(a), self.rep.evaluate(b)) for a, b in zip(self.lists_a, self.lists_b)]
+
+
+def _matches(pairs, g_iso):
+    """A_i g = g B_i, pair by pair, for g's isometry: b_i = g^-1 a_i g in the group."""
+    return (a.compose(g_iso).equals(g_iso.compose(b)) for a, b in pairs)
 
 
 @dataclass
@@ -71,7 +77,6 @@ class ConjugacyCertificate:
     verdict: str
     conjugator: Optional[words.Word] = None
     radius_searched: int = 0
-    transcript: list = field(default_factory=list)
     enumerated: int = 0
     seconds: float = 0.0
 
@@ -83,36 +88,42 @@ class ConjugacyCertificate:
 
 
 def verify(g: words.Word, inst: ConjugacyInstance):
-    """Check b_i = g^-1 a_i g for every i; returns (ok, transcript)."""
+    """Check b_i = g^-1 a_i g for every i, as words or as A_i g = g B_i; returns (ok, transcript)."""
     words.check_alphabet(g, inst.alphabet_size)
-    transcript = []
-    for i, (a, b) in enumerate(zip(inst.lists_a, inst.lists_b)):
-        conj = words.conjugate(g, a)
-        match = inst.elements_equal(conj, b)
-        conjugated, expected = words.word_to_str(conj), words.word_to_str(b)
-        transcript.append({"index": i, "conjugated": conjugated, "expected": expected, "match": match})
-    return all(t["match"] for t in transcript), transcript
+    conjugated = [words.conjugate(g, a) for a in inst.lists_a]
+    if inst.is_free_context():
+        matches = [c == b for c, b in zip(conjugated, inst.lists_b)]
+    else:
+        matches = list(_matches(inst.evaluated_pairs(), inst.rep.evaluate(g)))
+    transcript = [
+        {"index": i, "conjugated": words.word_to_str(c), "expected": words.word_to_str(b), "match": match}
+        for i, (c, b, match) in enumerate(zip(conjugated, inst.lists_b, matches))
+    ]
+    return all(matches), transcript
 
 
-def _certificate(inst, t0, verdict, g=None, enumerated=0, radius=0) -> ConjugacyCertificate:
-    """A certificate timed from t0; a conjugator g brings its transcript and radius |g|."""
+def _certificate(t0, verdict, g=None, enumerated=0, radius=0) -> ConjugacyCertificate:
+    """A certificate timed from t0; a conjugator g brings its radius |g|."""
     return ConjugacyCertificate(
         verdict=verdict,
         conjugator=g,
         radius_searched=radius if g is None else len(g),
-        transcript=[] if g is None else verify(g, inst)[1],
         enumerated=enumerated,
         seconds=time.perf_counter() - t0,
     )
 
 
 def search_radius(inst: ConjugacyInstance) -> int:
-    """Radius of the shortlex search under the instance's policy."""
+    """Radius of the shortlex search under the instance's policy, clamped to
+    the largest ball of at most ``ENUMERATION_BUDGET`` words."""
     if inst.policy == POLICY_INCREMENTAL:
-        return inst.max_radius
-    if inst.c_star is None or inst.c is None:
+        radius = inst.max_radius
+    elif inst.c_star is None or inst.c is None:
         raise ConfigError("policy 'bound' requires the constants c_star and c")
-    return min(int(math.ceil(inst.c_star * inst.length_sum() + inst.c)), inst.max_radius)
+    else:
+        radius = min(int(math.ceil(inst.c_star * inst.length_sum() + inst.c)), inst.max_radius)
+    too_big = (r for r in range(radius) if words.ball_size(inst.alphabet_size, r + 1) > ENUMERATION_BUDGET)
+    return next(too_big, radius)
 
 
 def solve(inst: ConjugacyInstance) -> ConjugacyCertificate:
@@ -126,16 +137,11 @@ def solve(inst: ConjugacyInstance) -> ConjugacyCertificate:
     if inst.is_free_context():
         return free_group_oracle(inst)
     t0 = time.perf_counter()
-    enumerated = 0
-    for g in words.enumerate_ball(inst.alphabet_size, cap):
-        enumerated += 1
-        if enumerated > ENUMERATION_BUDGET:
-            raise BudgetExceededError(
-                "conjugator search exceeded its enumeration budget", enumerated=enumerated, radius=cap
-            )
-        if inst.conjugated_by(g):
-            return _certificate(inst, t0, VERDICT_CONJUGATE, g, enumerated)
-    return _certificate(inst, t0, VERDICT_NOT_CONJUGATE_UP_TO, enumerated=enumerated, radius=cap)
+    pairs = inst.evaluated_pairs()
+    for enumerated, g in enumerate(words.enumerate_ball(inst.alphabet_size, cap), 1):
+        if all(_matches(pairs, inst.rep.evaluate(g))):
+            return _certificate(t0, VERDICT_CONJUGATE, g, enumerated)
+    return _certificate(t0, VERDICT_NOT_CONJUGATE_UP_TO, enumerated=enumerated, radius=cap)
 
 
 def _oracle_m_max(inst: ConjugacyInstance, g0: words.Word, root: words.Word) -> int:
@@ -194,14 +200,14 @@ def free_group_oracle(inst: ConjugacyInstance) -> ConjugacyCertificate:
     if pivot is None:
         # all a_i trivial: conjugate iff all b_i trivial (conjugator e)
         if all(not b for b in inst.lists_b):
-            return _certificate(inst, t0, VERDICT_CONJUGATE, g=())
-        return _certificate(inst, t0, VERDICT_NOT_CONJUGATE)
+            return _certificate(t0, VERDICT_CONJUGATE, g=())
+        return _certificate(t0, VERDICT_NOT_CONJUGATE)
     p, core_a = words.cyclic_reduction(inst.lists_a[pivot])
     q, core_b = words.cyclic_reduction(inst.lists_b[pivot])
     matches = (r for r, rotated in words.cyclic_rotations(core_a) if rotated == core_b)
     r = next(matches, None) if len(core_a) == len(core_b) else None
     if r is None:
-        return _certificate(inst, t0, VERDICT_NOT_CONJUGATE)
+        return _certificate(t0, VERDICT_NOT_CONJUGATE)
     # g0 conjugates a_k to b_k:  g0 = p * u * q^-1 with u = core_a[:r]
     q_inv = words.inverse(q)
     root = words.primitive_root(core_b)
@@ -212,22 +218,22 @@ def free_group_oracle(inst: ConjugacyInstance) -> ConjugacyCertificate:
     if inst.conjugated_by(g0):
         checked += 1
         if not inst.conjugated_by(words.multiply(g0, z)):
-            return _certificate(inst, t0, VERDICT_CONJUGATE, g0, checked)
+            return _certificate(t0, VERDICT_CONJUGATE, g0, checked)
         least = g0
         for step in (z, z_inv):
             g = g0
             while len(nxt := words.multiply(g, step)) <= len(g):
                 g = nxt
                 least = min(least, g, key=words.shortlex_key)
-        return _certificate(inst, t0, VERDICT_CONJUGATE, least, checked)
+        return _certificate(t0, VERDICT_CONJUGATE, least, checked)
     down = up = g0
     for _ in range(_oracle_m_max(inst, g0, root)):
         down, up = words.multiply(down, z_inv), words.multiply(up, z)
         for g in (down, up):
             checked += 1
             if inst.conjugated_by(g):
-                return _certificate(inst, t0, VERDICT_CONJUGATE, g, checked)
-    return _certificate(inst, t0, VERDICT_NOT_CONJUGATE, enumerated=checked)
+                return _certificate(t0, VERDICT_CONJUGATE, g, checked)
+    return _certificate(t0, VERDICT_NOT_CONJUGATE, enumerated=checked)
 
 
 @dataclass

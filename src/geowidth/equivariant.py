@@ -24,6 +24,8 @@ from .errors import DomainError, GeowidthError
 from .isometries import Representation
 from .spaces import Space
 
+CONVEXITY_TOL = 1e-9  # convexity_report: slack allowed in each convexity inequality
+
 
 @dataclass(frozen=True)
 class Edge:
@@ -268,13 +270,11 @@ class ConvexityRow:
     energy: float
 
 
-def convexity_report(
-    h: GeodesicHomotopy, s_grid: Sequence[float], tol: float = 1e-9
-) -> list[ConvexityRow]:
+def convexity_report(h: GeodesicHomotopy, s_grid: Sequence[float]) -> list[ConvexityRow]:
     """Lengths and energies of the intermediate maps along the homotopy.
 
     Raises GeowidthError if the length or sqrt-energy convexity inequality
-    fails beyond tol.
+    fails beyond ``CONVEXITY_TOL``.
     """
     l_u, l_v = length(h.u), length(h.v)
     e_u, e_v = energy(h.u), energy(h.v)
@@ -284,9 +284,9 @@ def convexity_report(
             raise DomainError(f"grid value {s} outside [0, 1]")
         m = h.map_at(s)
         l_s, e_s = length(m), energy(m)
-        if l_s > (1.0 - s) * l_u + s * l_v + tol:
+        if l_s > (1.0 - s) * l_u + s * l_v + CONVEXITY_TOL:
             raise GeowidthError(f"length convexity violated at s={s}")
-        if math.sqrt(e_s) > (1.0 - s) * math.sqrt(e_u) + s * math.sqrt(e_v) + tol:
+        if math.sqrt(e_s) > (1.0 - s) * math.sqrt(e_u) + s * math.sqrt(e_v) + CONVEXITY_TOL:
             raise GeowidthError(f"energy convexity violated at s={s}")
         rows.append(ConvexityRow(s=float(s), length=l_s, energy=e_s))
     return rows

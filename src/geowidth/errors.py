@@ -32,14 +32,3 @@ class PreconditionError(GeowidthError):
 class ConfigError(GeowidthError):
     """Missing or inconsistent configuration (e.g. constants for 'bound' policy)."""
 
-
-class BudgetExceededError(GeowidthError):
-    """A search exceeded its memory/time budget.
-
-    Carries partial progress so callers can report how far the search got.
-    """
-
-    def __init__(self, message, enumerated=0, radius=0):
-        super().__init__(message)
-        self.enumerated = enumerated
-        self.radius = radius

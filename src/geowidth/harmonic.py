@@ -31,6 +31,9 @@ from .equivariant import (
 from .errors import DomainError, PreconditionError
 from .isometries import Representation
 
+PROBE_DIRECTIONS = 16  # stationarity_probe: random directions tried per vertex
+PROBE_STEP = 1e-6  # stationarity_probe: length of each geodesic step
+
 
 @dataclass
 class RelaxationConfig:
@@ -105,11 +108,7 @@ def relax(u0: EquivariantMap, cfg: RelaxationConfig | None = None) -> HarmonicRe
     )
 
 
-def stationarity_probe(
-    result: HarmonicResult,
-    directions: int = 16,
-    step: float = 1e-6,
-) -> float:
+def stationarity_probe(result: HarmonicResult) -> float:
     """Largest objective decrease found by perturbing single vertex images.
 
     Moves every vertex image a geodesic step toward seeded random targets
@@ -123,12 +122,12 @@ def stationarity_probe(
     for v, terms in _term_table(u).items():
         point_terms, iso_terms = _local_terms(terms, u.images)
         f0 = space.local_value(u.images[v], point_terms, iso_terms)
-        for _ in range(directions):
+        for _ in range(PROBE_DIRECTIONS):
             target = space.random_point(rng)
             d = space.dist(u.images[v], target)
-            if d < step:
+            if d < PROBE_STEP:
                 continue
-            y_try = space.geodesic_point(u.images[v], target, step / d)
+            y_try = space.geodesic_point(u.images[v], target, PROBE_STEP / d)
             f_try = space.local_value(y_try, point_terms, iso_terms)
             worst = max(worst, f0 - f_try)
     return worst

@@ -14,14 +14,15 @@ Four isometry families, one per model:
 Each family owns its identity, its JSON form (``to_json`` and
 ``from_json``) and its ``kind``, the name a representation into it carries.
 Public constructors and ``from_json`` check their input; ``compose``,
-``inverse`` and ``identity`` of the Euclidean and tree families build
-their results with a trusted ``_trusted`` constructor, which skips the
-orthogonality and edge checks that checked operands make redundant.
+``inverse`` and ``identity`` of all four families build their results with
+the trusted ``Isometry._trusted``, which runs none of the orthogonality,
+determinant, edge or alphabet checks that checked operands make redundant;
+integral matrices of determinant 1 thus multiply exactly below 2^53.
 
-A ``Representation`` assigns one isometry per generator and evaluates words
-by composition; its kind and identity are worked out from its space.
-Construction checks the distance-preservation identity on seeded random
-samples.  JSON form::
+A ``Representation`` assigns one isometry per generator, builds one per
+signed letter, and evaluates words by composing those; its kind and identity
+are worked out from its space.  Construction checks the distance-preservation
+identity on seeded random samples.  JSON form::
 
     {"kind": ..., "space": space, "generators": [gen, ...]}
     gen (euclidean):  {"matrix": [[...]], "translation": [...]}
@@ -48,6 +49,13 @@ from .spaces import TOL, CayleyPoint, CayleyTree, EuclideanSpace, HyperbolicPlan
 class Isometry:
     #: the kind of a representation into this family
     kind = "abstract"
+
+    @classmethod
+    def _trusted(cls, **fields) -> "Isometry":
+        """The isometry of fields that the library built from checked ones; no check runs."""
+        iso = object.__new__(cls)
+        iso.__dict__.update(fields)
+        return iso
 
     @classmethod
     def identity(cls, space: Space) -> "Isometry":
@@ -91,15 +99,8 @@ class EuclideanIsometry(Isometry):
             raise DomainError("matrix is not orthogonal")
 
     @classmethod
-    def _trusted(cls, matrix: np.ndarray, translation: np.ndarray) -> "EuclideanIsometry":
-        """The isometry of float arrays that the library built from checked ones."""
-        iso = object.__new__(cls)
-        iso.matrix, iso.translation = matrix, translation
-        return iso
-
-    @classmethod
     def identity(cls, space: EuclideanSpace) -> "EuclideanIsometry":
-        return cls._trusted(np.eye(space.dim), np.zeros(space.dim))
+        return cls._trusted(matrix=np.eye(space.dim), translation=np.zeros(space.dim))
 
     @classmethod
     def from_json(cls, space: EuclideanSpace, data: dict) -> "EuclideanIsometry":
@@ -113,12 +114,12 @@ class EuclideanIsometry(Isometry):
 
     def compose(self, other: "EuclideanIsometry") -> "EuclideanIsometry":
         return EuclideanIsometry._trusted(
-            self.matrix @ other.matrix, self.matrix @ other.translation + self.translation
+            matrix=self.matrix @ other.matrix, translation=self.matrix @ other.translation + self.translation
         )
 
     def inverse(self) -> "EuclideanIsometry":
         inv = self.matrix.T
-        return EuclideanIsometry._trusted(inv, -(inv @ self.translation))
+        return EuclideanIsometry._trusted(matrix=inv, translation=-(inv @ self.translation))
 
     def is_identity(self) -> bool:
         n = self.translation.shape[0]
@@ -138,19 +139,24 @@ class HyperbolicIsometry(Isometry):
         det = float(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
         if not det > 0.0:  # NaN included
             raise DomainError("matrix must have positive determinant")
-        m = m / math.sqrt(det)
-        # A and -A act identically; fix the sign for testable equality
+        self.matrix = self._signed(m / math.sqrt(det))
+
+    @staticmethod
+    def _signed(m: np.ndarray) -> np.ndarray:
+        """m or -m, whichever has its first entry above 1e-12 in size positive:
+        A and -A act identically, and one sign makes equality testable."""
         for x in m.flat:
             if abs(x) > 1e-12:
-                if x < 0.0:
-                    m = -m
-                break
-        self.matrix = m
-        self.trace = float(m[0, 0] + m[1, 1])
+                return -m if x < 0.0 else m
+        return m
+
+    @property
+    def trace(self) -> float:
+        return float(self.matrix[0, 0] + self.matrix[1, 1])
 
     @classmethod
     def identity(cls, space: HyperbolicPlane | None = None) -> "HyperbolicIsometry":
-        return cls(np.eye(2))
+        return cls._trusted(matrix=np.eye(2))
 
     @classmethod
     def from_json(cls, space: HyperbolicPlane, data: dict) -> "HyperbolicIsometry":
@@ -179,11 +185,11 @@ class HyperbolicIsometry(Isometry):
         return np.column_stack(cols)
 
     def compose(self, other: "HyperbolicIsometry") -> "HyperbolicIsometry":
-        return HyperbolicIsometry(self.matrix @ other.matrix)
+        return HyperbolicIsometry._trusted(matrix=self._signed(self.matrix @ other.matrix))
 
     def inverse(self) -> "HyperbolicIsometry":
         a, b, c, d = self.matrix.flat
-        return HyperbolicIsometry(np.array([[d, -b], [-c, a]]))
+        return HyperbolicIsometry._trusted(matrix=self._signed(np.array([[d, -b], [-c, a]])))
 
     def is_identity(self) -> bool:
         return bool(np.max(np.abs(self.matrix - np.eye(2))) <= TOL)
@@ -235,15 +241,8 @@ class TreeAutomorphism(Isometry):
                 raise DomainError(f"image of edge {a}-{b} has a different length")
 
     @classmethod
-    def _trusted(cls, tree: MetricTree, permutation: dict) -> "TreeAutomorphism":
-        """The automorphism of a permutation that the library built from checked ones."""
-        iso = object.__new__(cls)
-        iso.tree, iso.permutation = tree, permutation
-        return iso
-
-    @classmethod
     def identity(cls, tree: MetricTree) -> "TreeAutomorphism":
-        return cls._trusted(tree, {v: v for v in tree.vertices})
+        return cls._trusted(tree=tree, permutation={v: v for v in tree.vertices})
 
     @classmethod
     def from_json(cls, tree: MetricTree, data: dict) -> "TreeAutomorphism":
@@ -265,11 +264,11 @@ class TreeAutomorphism(Isometry):
 
     def compose(self, other: "TreeAutomorphism") -> "TreeAutomorphism":
         return TreeAutomorphism._trusted(
-            self.tree, {v: self.permutation[other.permutation[v]] for v in self.tree.vertices}
+            tree=self.tree, permutation={v: self.permutation[other.permutation[v]] for v in self.tree.vertices}
         )
 
     def inverse(self) -> "TreeAutomorphism":
-        return TreeAutomorphism._trusted(self.tree, {w: v for v, w in self.permutation.items()})
+        return TreeAutomorphism._trusted(tree=self.tree, permutation={w: v for v, w in self.permutation.items()})
 
     def is_identity(self) -> bool:
         return all(self.permutation[v] == v for v in self.tree.vertices)
@@ -285,7 +284,7 @@ class CayleyTranslation(Isometry):
 
     @classmethod
     def identity(cls, tree: CayleyTree) -> "CayleyTranslation":
-        return cls(tree, ())
+        return cls._trusted(tree=tree, word=())
 
     @classmethod
     def from_json(cls, tree: CayleyTree, data: dict) -> "CayleyTranslation":
@@ -301,10 +300,10 @@ class CayleyTranslation(Isometry):
         return self.tree.edge_point(base, p.letter, p.t)
 
     def compose(self, other: "CayleyTranslation") -> "CayleyTranslation":
-        return CayleyTranslation(self.tree, words.multiply(self.word, other.word))
+        return CayleyTranslation._trusted(tree=self.tree, word=words.multiply(self.word, other.word))
 
     def inverse(self) -> "CayleyTranslation":
-        return CayleyTranslation(self.tree, words.inverse(self.word))
+        return CayleyTranslation._trusted(tree=self.tree, word=words.inverse(self.word))
 
     def is_identity(self) -> bool:
         return self.word == ()
@@ -337,6 +336,10 @@ class Representation:
         self.alphabet_size = len(self.generators)
         if check_samples > 0:
             self._check_isometry_property(check_samples)
+        # the isometry of each signed letter x, the inverse of generator |x| for x < 0
+        self._letters = {}
+        for i, g in enumerate(self.generators, 1):
+            self._letters[i], self._letters[-i] = g, g.inverse()
 
     def _check_isometry_property(self, samples: int) -> None:
         rng = np.random.default_rng(0)
@@ -381,10 +384,7 @@ class Representation:
         words.check_alphabet(g, self.alphabet_size)
         result = self.identity_isometry()
         for x in g:
-            iso = self.generators[abs(x) - 1]
-            if x < 0:
-                iso = iso.inverse()
-            result = result.compose(iso)
+            result = result.compose(self._letters[x])
         return result
 
     def act(self, g: words.Word, p):

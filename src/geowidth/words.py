@@ -82,14 +82,12 @@ def shortlex_key(a: Word):
 
 
 def ball_size(alphabet_size: int, radius: int) -> int:
-    """Number of freely reduced words of length <= radius."""
-    n = alphabet_size
-    total = 1
-    count = 2 * n
-    for _ in range(radius):
-        total += count
-        count *= 2 * n - 1
-    return total
+    """Number of freely reduced words of length <= radius: 2n (2n - 1)^(k - 1)
+    have length k >= 1, so 1 + n ((2n - 1)^r - 1) / (n - 1), or 1 + 2r for n = 1."""
+    n, r = alphabet_size, max(radius, 0)
+    if n == 1:
+        return 1 + 2 * r
+    return 1 + n * ((2 * n - 1) ** r - 1) // (n - 1)
 
 
 def enumerate_ball(alphabet_size: int, radius: int) -> Iterator[Word]:

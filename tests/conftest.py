@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from geowidth.isometries import HyperbolicIsometry, Representation
 from geowidth.spaces import CayleyTree, EuclideanSpace, HyperbolicPlane, MetricTree
 
 
@@ -74,3 +75,15 @@ def all_model_spaces():
         "deep-tree": deep_tree(),
         "cayley2": CayleyTree(2),
     }
+
+
+def readme_rep() -> Representation:
+    """The README's rank-2 representation on the hyperbolic plane."""
+    gens = [HyperbolicIsometry([[2.0, 1.0], [1.0, 1.0]]), HyperbolicIsometry([[5.0, 2.0], [2.0, 1.0]])]
+    return Representation(HyperbolicPlane(), gens, check_samples=50)
+
+
+def parabolic_rep() -> Representation:
+    """Two parabolic generators of a free subgroup of SL(2, Z)."""
+    gens = [HyperbolicIsometry([[1.0, 2.0], [0.0, 1.0]]), HyperbolicIsometry([[1.0, 0.0], [2.0, 1.0]])]
+    return Representation(HyperbolicPlane(), gens, check_samples=50)

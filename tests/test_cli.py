@@ -17,6 +17,8 @@ from geowidth.isometries import (
 from geowidth.serialization import map_to_json, save_map, save_representation
 from geowidth.spaces import CayleyTree, EuclideanSpace, HyperbolicPlane, MetricTree
 
+from conftest import readme_rep
+
 
 def run(capsys, argv):
     code = main(argv)
@@ -237,6 +239,29 @@ class TestConjugacy:
     def test_usage_error(self, capsys):
         code, _, _ = run(capsys, ["conjugacy", "solve", "--alphabet", "2", "--a", "ab"])
         assert code == 64
+
+    def test_free_transcript(self, capsys):
+        code, out, _ = run(
+            capsys, ["conjugacy", "solve", "--alphabet", "2", "--a", "aab,ba,bb", "--b", "BAaabab,BAbaab,BAbbab"]
+        )
+        assert code == 0
+        expected = "".join(
+            f'    {{\n      "conjugated": "{w}",\n      "expected": "{w}",\n      "index": {i},\n      "match": true\n    }}'
+            + (",\n" if i < 2 else "\n")
+            for i, w in enumerate(["Babab", "BAbaab", "BAbbab"])
+        )
+        # byte for byte the transcript of the conjugator ab, pretty-printed
+        assert '  "transcript": [\n' + expected + "  ],\n" in out
+
+    def test_matrix_search_past_radius_five(self, capsys, tmp_path):
+        path = tmp_path / "readme_rep.json"
+        save_representation(str(path), readme_rep())
+        argv = ["conjugacy", "solve", "--alphabet", "2", "--a", "ab", "--b", "aab", "--rep", str(path), "--max-radius", "6"]
+        code, out, _ = run(capsys, argv)
+        assert code == 4
+        report = json.loads(out, parse_constant=_refuse_constant)
+        assert (report["verdict"], report["radius_searched"], report["transcript"]) == ("NotConjugateUpTo", 6, [])
+        assert report["stats"]["enumerated"] == 1457
 
     @pytest.mark.parametrize(
         "rho, kind",

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from geowidth.conjugacy import (
+    ENUMERATION_BUDGET,
     POLICY_BOUND,
     VERDICT_CONJUGATE,
     VERDICT_NOT_CONJUGATE,
@@ -19,6 +20,7 @@ from geowidth.errors import CapabilityError, ConfigError, DomainError
 from geowidth.isometries import HyperbolicIsometry, Representation
 from geowidth.spaces import HyperbolicPlane
 from geowidth.words import (
+    ball_size,
     conjugate,
     enumerate_ball,
     inverse,
@@ -27,6 +29,8 @@ from geowidth.words import (
     shortlex_key,
     word_length,
 )
+
+from conftest import parabolic_rep, readme_rep
 
 
 @functools.lru_cache(maxsize=None)
@@ -91,6 +95,16 @@ class TestSearchRadius:
     def test_incremental_is_max_radius(self):
         inst = free_instance(["a"], ["a"], max_radius=9)
         assert search_radius(inst) == inst.max_radius
+
+    @pytest.mark.parametrize("rank, clamped", [(2, 13), (3, 9)])
+    def test_clamped_to_the_enumeration_budget(self, rank, clamped):
+        inst = ConjugacyInstance(rank, ((1,),), ((1,),), max_radius=16)
+        assert search_radius(inst) == clamped
+        assert ball_size(rank, clamped) <= ENUMERATION_BUDGET < ball_size(rank, clamped + 1)
+
+    def test_huge_rank_one_radius_is_clamped(self):
+        inst = ConjugacyInstance(1, ((1,),), ((1,),), max_radius=10**9)
+        assert search_radius(inst) == (ENUMERATION_BUDGET - 1) // 2
 
     def test_solve_bound_requires_constants_in_free_context(self):
         with pytest.raises(ConfigError):
@@ -311,6 +325,38 @@ class TestMatrixContext:
             assert cert.verdict == VERDICT_NOT_CONJUGATE_UP_TO
             assert cert.exit_code == 4
             assert cert.radius_searched == 1
+
+
+def reference_search(inst, radius):
+    """The reference search, which evaluates g^-1 a_i g and b_i afresh for
+    every candidate g: (verdict, conjugator, radius_searched, enumerated)."""
+    rep = inst.rep
+    for enumerated, g in enumerate(ball(inst.alphabet_size, radius), 1):
+        pairs = zip(inst.lists_a, inst.lists_b)
+        if all(rep.evaluate(conjugate(g, a)).equals(rep.evaluate(b)) for a, b in pairs):
+            return VERDICT_CONJUGATE, g, len(g), enumerated
+    return VERDICT_NOT_CONJUGATE_UP_TO, None, radius, len(ball(inst.alphabet_size, radius))
+
+
+class TestMatrixSearch:
+    @pytest.mark.parametrize("make_rep", [readme_rep, parabolic_rep])
+    def test_matches_the_per_candidate_search(self, make_rep):
+        rho, rng = make_rep(), random.Random(17)
+        for _ in range(40):
+            a_list = [random_word(rng, 2, rng.randint(1, 3)) for _ in range(rng.randint(1, 2))]
+            g = random_word(rng, 2, rng.randint(0, 4))
+            b_list = [conjugate(g, a) for a in a_list]
+            if rng.random() < 0.5:
+                j = rng.randrange(len(a_list))
+                b_list[j] = conjugate(g, random_word(rng, 2, len(a_list[j])))
+            radius = rng.randint(0, 4)
+            inst = ConjugacyInstance(2, tuple(a_list), tuple(b_list), rep=rho, max_radius=radius)
+            cert = solve(inst)
+            got = (cert.verdict, cert.conjugator, cert.radius_searched, cert.enumerated)
+            assert got == reference_search(inst, radius)
+            if cert.conjugator is not None:
+                ok, transcript = verify(cert.conjugator, inst)
+                assert ok and all(t["match"] for t in transcript)
 
 
 class TestOrbitReport:

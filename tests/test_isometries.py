@@ -13,6 +13,9 @@ from geowidth.isometries import (
     orbit_distance,
 )
 from geowidth.spaces import CayleyTree, EuclideanSpace, HyperbolicPlane, MetricTree
+from geowidth.words import enumerate_ball, parse_word
+
+from conftest import parabolic_rep, readme_rep
 
 
 def rotation2(theta):
@@ -244,3 +247,78 @@ class TestRepresentation:
         assert orbit_distance(rho, e, (1, 2, 1), ()) == pytest.approx(3.0)
         # pseudo-metric collapses when the basepoint is moved the same way
         assert orbit_distance(rho, e, (1, 2), (1, 2)) == 0.0
+
+
+class TestTrustedPath:
+    def reps(self):
+        tree = MetricTree([0] + list(range(1, 5)), [(0, v, 1.0) for v in range(1, 5)])
+        return [
+            Representation(
+                EuclideanSpace(2),
+                [EuclideanIsometry(rotation2(0.4), [1.0, 0.0]), EuclideanIsometry(np.eye(2), [0.0, 1.0])],
+                check_samples=10,
+            ),
+            readme_rep(),
+            Representation(
+                tree,
+                [
+                    TreeAutomorphism(tree, {0: 0, 1: 2, 2: 3, 3: 4, 4: 1}),
+                    TreeAutomorphism(tree, {0: 0, 1: 2, 2: 1, 3: 3, 4: 4}),
+                ],
+                check_samples=10,
+            ),
+            Representation.free_on_cayley_tree(2),
+        ]
+
+    def test_evaluate_inverse_identity_run_no_constructor(self, monkeypatch):
+        reps = self.reps()
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("checking constructor called")
+
+        for cls in (EuclideanIsometry, HyperbolicIsometry, TreeAutomorphism, CayleyTranslation):
+            monkeypatch.setattr(cls, "__init__", refuse)
+        word = (1, 2, -1, -1, 2, 2, 1, -2, -1, 2) * 2
+        for rho in reps:
+            g = rho.evaluate(word)
+            assert g.compose(g.inverse()).compose(rho.identity_isometry()).is_identity()
+
+    @pytest.mark.parametrize("make_rep", [readme_rep, parabolic_rep])
+    def test_words_match_the_checking_constructor_bit_for_bit(self, make_rep):
+        rho = make_rep()
+        for w in enumerate_ball(2, 4):
+            checked = HyperbolicIsometry(np.eye(2))
+            for x in w:
+                gen = rho.generators[abs(x) - 1]
+                if x < 0:
+                    a, b, c, d = gen.matrix.flat
+                    gen = HyperbolicIsometry([[d, -b], [-c, a]])
+                checked = HyperbolicIsometry(checked.matrix @ gen.matrix)
+            assert rho.evaluate(w).matrix.tolist() == checked.matrix.tolist()
+
+    def test_integral_products_are_exact(self):
+        rho = readme_rep()
+        ball = list(enumerate_ball(2, 10))
+        rng = np.random.default_rng(12)
+        for i, j in rng.integers(0, len(ball), size=(200, 2)):
+            w, h = ball[i], ball[j]
+            product = rho.evaluate(w).compose(rho.evaluate(h))
+            assert np.array_equal(rho.evaluate(w + h).matrix, product.matrix)
+            assert product.matrix.tolist() == readme_integer_product(w + h)
+
+    @pytest.mark.parametrize("word", ["bbbbbbbbbbbb", "abababababababab", "aaaaaaaaaaaaaaaaaaaaa"])
+    def test_long_readme_words_evaluate(self, word):
+        # the float determinant of these products rounds to 0 or below
+        w = parse_word(word)
+        assert readme_rep().evaluate(w).matrix.tolist() == readme_integer_product(w)
+
+
+def readme_integer_product(w):
+    """The README representation's matrix of w in integers, sign-normalised like HyperbolicIsometry."""
+    letters = {1: [[2, 1], [1, 1]], 2: [[5, 2], [2, 1]], -1: [[1, -1], [-1, 2]], -2: [[1, -2], [-2, 5]]}
+    m = [[1, 0], [0, 1]]
+    for x in w:
+        n = letters[x]
+        m = [[m[i][0] * n[0][j] + m[i][1] * n[1][j] for j in range(2)] for i in range(2)]
+    sign = -1 if next(x for x in m[0] + m[1] if x) < 0 else 1
+    return [[sign * x for x in row] for row in m]
