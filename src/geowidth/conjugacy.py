@@ -59,8 +59,8 @@ class ConjugacyInstance:
         return self.rep is None or self.rep.kind == CayleyTranslation.kind
 
     def conjugated_by(self, g: words.Word) -> bool:
-        """Whether b_i = g^-1 a_i g for every i, as free-group words."""
-        return all(words.conjugate(g, a) == b for a, b in zip(self.lists_a, self.lists_b))
+        """Whether b_i = g^-1 a_i g, tested as g b_i = a_i g, for every i, as free-group words."""
+        return all(words.multiply(g, b) == words.multiply(a, g) for a, b in zip(self.lists_a, self.lists_b))
 
     def evaluated_pairs(self) -> list:
         """The isometries (A_i, B_i) of the pairs under the representation."""
@@ -88,7 +88,7 @@ class ConjugacyCertificate:
 
 
 def verify(g: words.Word, inst: ConjugacyInstance):
-    """Check b_i = g^-1 a_i g for every i, as words or as A_i g = g B_i; returns (ok, transcript)."""
+    """Check b_i = g^-1 a_i g for every i (g reduced), as words or as A_i g = g B_i; returns (ok, transcript)."""
     words.check_alphabet(g, inst.alphabet_size)
     conjugated = [words.conjugate(g, a) for a in inst.lists_a]
     if inst.is_free_context():
@@ -113,15 +113,19 @@ def _certificate(t0, verdict, g=None, enumerated=0, radius=0) -> ConjugacyCertif
     )
 
 
+def _policy_radius(inst: ConjugacyInstance) -> int:
+    """Radius of the shortlex search under the instance's policy, unclamped."""
+    if inst.policy == POLICY_INCREMENTAL:
+        return inst.max_radius
+    if inst.c_star is None or inst.c is None:
+        raise ConfigError("policy 'bound' requires the constants c_star and c")
+    return min(int(math.ceil(inst.c_star * inst.length_sum() + inst.c)), inst.max_radius)
+
+
 def search_radius(inst: ConjugacyInstance) -> int:
     """Radius of the shortlex search under the instance's policy, clamped to
     the largest ball of at most ``ENUMERATION_BUDGET`` words."""
-    if inst.policy == POLICY_INCREMENTAL:
-        radius = inst.max_radius
-    elif inst.c_star is None or inst.c is None:
-        raise ConfigError("policy 'bound' requires the constants c_star and c")
-    else:
-        radius = min(int(math.ceil(inst.c_star * inst.length_sum() + inst.c)), inst.max_radius)
+    radius = _policy_radius(inst)
     too_big = (r for r in range(radius) if words.ball_size(inst.alphabet_size, r + 1) > ENUMERATION_BUDGET)
     return next(too_big, radius)
 
@@ -130,12 +134,13 @@ def solve(inst: ConjugacyInstance) -> ConjugacyCertificate:
     """Decide a list instance and certify the verdict.
 
     A free-group context is decided by :func:`free_group_oracle` whatever
-    the radius.  A matrix context returns the first conjugator in the
-    shortlex ball of radius :func:`search_radius`, or NotConjugateUpTo.
+    the radius, once the policy has its constants.  A matrix context returns
+    the first conjugator in the ball of radius :func:`search_radius`, or NotConjugateUpTo.
     """
-    cap = search_radius(inst)
     if inst.is_free_context():
+        _policy_radius(inst)  # for its ConfigError only: the oracle needs no radius
         return free_group_oracle(inst)
+    cap = search_radius(inst)
     t0 = time.perf_counter()
     pairs = inst.evaluated_pairs()
     for enumerated, g in enumerate(words.enumerate_ball(inst.alphabet_size, cap), 1):

@@ -393,6 +393,12 @@ class HyperbolicPlane(Space):
         if abs(self.minkowski(p, p) - 1.0) > 1e-6 or p[0] <= 0.0:
             raise InvalidPointError("point violates x0^2 - x1^2 - x2^2 = 1, x0 > 0")
 
+    def _point_from_json(self, data: dict) -> np.ndarray:
+        # finite coordinates that pass validate_point load as written; point() renormalises or refuses the rest
+        x = np.asarray(data["coords"], dtype=float)
+        on_sheet = x.shape == (3,) and np.isfinite(x).all() and abs(self.minkowski(x, x) - 1.0) <= 1e-6 and x[0] > 0.0
+        return x if on_sheet else self.point(x)
+
     def _dist(self, p, q) -> float:
         return _h_dist(p.tolist(), q.tolist())
 

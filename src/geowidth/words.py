@@ -15,6 +15,7 @@ a < A < b < B < ... (generator before its inverse).
 
 from __future__ import annotations
 
+import operator
 from typing import Iterable, Iterator, Sequence, Tuple
 
 from .errors import AlphabetMismatchError, DomainError
@@ -22,6 +23,7 @@ from .errors import AlphabetMismatchError, DomainError
 Word = Tuple[int, ...]
 
 IDENTITY: Word = ()
+_LETTER_TEXT = {s * i: chr(ord(base) + i - 1) for i in range(1, 27) for s, base in ((1, "a"), (-1, "A"))}
 
 
 def reduce_word(letters: Sequence[int]) -> Word:
@@ -38,22 +40,22 @@ def reduce_word(letters: Sequence[int]) -> Word:
 
 
 def multiply(a: Word, b: Word) -> Word:
-    """Product of freely reduced words, freely reduced."""
-    out = list(a)
-    for x in b:
-        if out and out[-1] == -x:
-            out.pop()
-        else:
-            out.append(x)
-    return tuple(out)
+    """Product of reduced tuples a and b, reduced: only the k letters with
+    a[-1 - i] == -b[i] cancel, so it is a[:len(a) - k] + b[k:]."""
+    if not a or not b or a[-1] != -b[0]:
+        return a + b
+    k, n, last = 1, min(len(a), len(b)), len(a) - 1
+    while k < n and a[last - k] == -b[k]:
+        k += 1
+    return a[: last + 1 - k] + b[k:]
 
 
 def inverse(a: Word) -> Word:
-    return tuple(-x for x in reversed(a))
+    return tuple(map(operator.neg, reversed(a)))
 
 
 def conjugate(g: Word, a: Word) -> Word:
-    """g^-1 * a * g."""
+    """g^-1 * a * g, for reduced tuples g and a."""
     return multiply(multiply(inverse(g), a), g)
 
 
@@ -62,14 +64,12 @@ def word_length(a: Word) -> int:
 
 
 def max_generator(a: Word) -> int:
-    return max((abs(x) for x in a), default=0)
+    return max(map(abs, a), default=0)
 
 
 def check_alphabet(a: Word, alphabet_size: int) -> None:
     if max_generator(a) > alphabet_size:
-        raise AlphabetMismatchError(
-            f"word {word_to_str(a)} uses generators beyond alphabet of size {alphabet_size}"
-        )
+        raise AlphabetMismatchError(f"word {word_to_str(a)} uses generators beyond alphabet of size {alphabet_size}")
 
 
 def letter_order(x: int) -> int:
@@ -93,29 +93,19 @@ def ball_size(alphabet_size: int, radius: int) -> int:
 def enumerate_ball(alphabet_size: int, radius: int) -> Iterator[Word]:
     """Yield every freely reduced word of length <= radius in shortlex order.
 
-    Depth-first per length, so memory stays O(radius).
+    Length k chains k generators, one per letter, each extending the prefixes
+    of the one before; each holds one prefix, so memory stays O(radius).
     """
     if radius < 0:
         raise DomainError("radius must be >= 0")
-    letters = sorted(
-        [i for i in range(1, alphabet_size + 1)] + [-i for i in range(1, alphabet_size + 1)],
-        key=letter_order,
-    )
-
-    def extend(prefix: list[int], remaining: int) -> Iterator[Word]:
-        if remaining == 0:
-            yield tuple(prefix)
-            return
-        last = prefix[-1] if prefix else 0
-        for x in letters:
-            if x == -last:
-                continue
-            prefix.append(x)
-            yield from extend(prefix, remaining - 1)
-            prefix.pop()
-
-    for k in range(radius + 1):
-        yield from extend([], k)
+    letters = sorted((x for i in range(1, alphabet_size + 1) for x in (i, -i)), key=letter_order)
+    follow = {x: [(y,) for y in letters if y != -x] for x in letters}
+    yield IDENTITY
+    for k in range(1, radius + 1):
+        level: Iterator[Word] = ((x,) for x in letters)
+        for _ in range(k - 1):
+            level = (w + y for w in level for y in follow[w[-1]])
+        yield from level
 
 
 def parse_word(text: str, alphabet_size: int | None = None) -> Word:
@@ -144,13 +134,10 @@ def parse_word(text: str, alphabet_size: int | None = None) -> Word:
 def word_to_str(a: Word) -> str:
     if not a:
         return "e"
-    chars = []
-    for x in a:
-        if abs(x) > 26:
-            raise DomainError("letter grammar only covers alphabets up to size 26")
-        base = ord("a") if x > 0 else ord("A")
-        chars.append(chr(base + abs(x) - 1))
-    return "".join(chars)
+    try:
+        return "".join(map(_LETTER_TEXT.__getitem__, a))
+    except KeyError:
+        raise DomainError("letter grammar only covers alphabets up to size 26") from None
 
 
 def cyclic_reduction(a: Word) -> tuple[Word, Word]:
@@ -185,9 +172,11 @@ def cyclic_rotations(core: Word) -> Iterable[tuple[int, Word]]:
         yield r, core[r:] + core[:r]
 
 
-def power(a: Word, n: int) -> Word:
+def power(a: Sequence[int], n: int) -> Word:
+    """a^n, freely reduced; a is reduced once, at entry."""
+    a = reduce_word(a)
     if n < 0:
-        return power(inverse(a), -n)
+        a, n = inverse(a), -n
     out: Word = ()
     for _ in range(n):
         out = multiply(out, a)

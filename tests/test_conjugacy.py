@@ -16,6 +16,7 @@ from geowidth.conjugacy import (
     solve,
     verify,
 )
+from geowidth import words
 from geowidth.errors import CapabilityError, ConfigError, DomainError
 from geowidth.isometries import HyperbolicIsometry, Representation
 from geowidth.spaces import HyperbolicPlane
@@ -109,6 +110,15 @@ class TestSearchRadius:
     def test_solve_bound_requires_constants_in_free_context(self):
         with pytest.raises(ConfigError):
             solve(free_instance(["ab"], ["ba"], policy=POLICY_BOUND))
+
+    @pytest.mark.parametrize("kw", [{}, {"policy": POLICY_BOUND, "c_star": 1.0, "c": 2.0}])
+    def test_free_solve_computes_no_clamp(self, monkeypatch, kw):
+        def refuse(*args):
+            raise AssertionError("the oracle needs no ball clamp")
+
+        monkeypatch.setattr(words, "ball_size", refuse)
+        cert = solve(free_instance(["ab"], ["ba"], **kw))
+        assert (cert.verdict, cert.conjugator, cert.enumerated) == (VERDICT_CONJUGATE, (1,), 2)
 
 
 class TestSolveFree:

@@ -1,7 +1,10 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from geowidth.conjugacy import ConjugacyInstance
 from geowidth.errors import AlphabetMismatchError, DomainError
 from geowidth.words import (
     IDENTITY,
@@ -12,6 +15,8 @@ from geowidth.words import (
     cyclic_rotations,
     enumerate_ball,
     inverse,
+    letter_order,
+    max_generator,
     multiply,
     parse_word,
     power,
@@ -142,3 +147,123 @@ class TestCyclicStructure:
             _, core = cyclic_reduction(w)
             for g in enumerate_ball(2, 2):
                 assert word_length(conjugate(g, w)) >= word_length(core)
+
+
+# ---------------------------------------------------------------------------
+# the slice-based kernels against the letter-by-letter ones they replace
+
+
+def reference_multiply(a, b):
+    out = list(a)
+    for x in b:
+        if out and out[-1] == -x:
+            out.pop()
+        else:
+            out.append(x)
+    return tuple(out)
+
+
+def reference_inverse(a):
+    return tuple(-x for x in reversed(a))
+
+
+def reference_conjugate(g, a):
+    return reference_multiply(reference_multiply(reference_inverse(g), a), g)
+
+
+def reference_max_generator(a):
+    return max((abs(x) for x in a), default=0)
+
+
+def reference_word_to_str(a):
+    if not a:
+        return "e"
+    chars = []
+    for x in a:
+        if abs(x) > 26:
+            raise DomainError("letter grammar only covers alphabets up to size 26")
+        base = ord("a") if x > 0 else ord("A")
+        chars.append(chr(base + abs(x) - 1))
+    return "".join(chars)
+
+
+def reference_enumerate_ball(alphabet_size, radius):
+    letters = sorted([x for i in range(1, alphabet_size + 1) for x in (i, -i)], key=letter_order)
+
+    def extend(prefix, remaining):
+        if remaining == 0:
+            yield tuple(prefix)
+            return
+        last = prefix[-1] if prefix else 0
+        for x in letters:
+            if x == -last:
+                continue
+            prefix.append(x)
+            yield from extend(prefix, remaining - 1)
+            prefix.pop()
+
+    for k in range(radius + 1):
+        yield from extend([], k)
+
+
+@st.composite
+def reduced_words(draw, rank, max_length=300):
+    """A reduced word over ``rank`` generators: up to ``max_length`` drawn letters, freely reduced."""
+    letters = draw(st.lists(st.integers(1, rank).flatmap(lambda i: st.sampled_from((i, -i))), max_size=max_length))
+    return reduce_word(letters)
+
+
+ranks = st.integers(1, 4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), rank=ranks)
+def test_kernels_match_reference(data, rank):
+    a, b, g = (data.draw(reduced_words(rank)) for _ in range(3))
+    # b's head cancels a's tail for a drawn stretch
+    k = data.draw(st.integers(0, len(a)))
+    b = reduce_word(reference_inverse(a[len(a) - k :]) + b)
+    assert multiply(a, b) == reference_multiply(a, b)
+    assert multiply(a, inverse(a)) == IDENTITY
+    assert inverse(a) == reference_inverse(a)
+    assert conjugate(g, a) == reference_conjugate(g, a)
+    assert conjugate(a, a) == a
+    assert max_generator(a) == reference_max_generator(a)
+    assert word_to_str(a) == reference_word_to_str(a)
+
+
+def test_word_to_str_rejects_letters_past_z():
+    for w in [(27,), (1, -27)]:
+        with pytest.raises(DomainError):
+            reference_word_to_str(w)
+        with pytest.raises(DomainError):
+            word_to_str(w)
+    assert word_to_str((26, -26)) == reference_word_to_str((26, -26)) == "zZ"
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_enumerate_ball_matches_reference(rank):
+    for radius in range(7):
+        walked = list(enumerate_ball(rank, radius))
+        assert walked == list(reference_enumerate_ball(rank, radius))
+        assert len(walked) == ball_size(rank, radius)
+
+
+def test_power_reduces_its_argument():
+    assert power([1, 2, -2, 2], 3) == (1, 2, 1, 2, 1, 2)
+    assert power((2, 1, -1), -2) == (-2, -2)
+    assert power((1, 2, -1), 0) == IDENTITY
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), rank=ranks, size=st.integers(1, 3), conjugate_pair=st.booleans())
+def test_conjugated_by_agrees_with_conjugate(data, rank, size, conjugate_pair):
+    g = data.draw(reduced_words(rank, 12))
+    lists_a = [data.draw(reduced_words(rank, 40)) for _ in range(size)]
+    lists_b = [conjugate(g, a) if conjugate_pair else data.draw(reduced_words(rank, 40)) for a in lists_a]
+    inst = ConjugacyInstance(rank, tuple(lists_a), tuple(lists_b))
+    h = g if data.draw(st.booleans()) else data.draw(reduced_words(rank, 12))
+    expected = all(conjugate(h, a) == b for a, b in zip(inst.lists_a, inst.lists_b))
+    assert inst.conjugated_by(h) == expected
+    if conjugate_pair:
+        assert inst.conjugated_by(g)
