@@ -192,11 +192,12 @@ def main_lemma_ratio(u: EquivariantMap, r: HarmonicResult):
 def check_not_boundary_fixing(rho: Representation) -> None:
     """Raise PreconditionError unless the image visibly fixes no ideal point.
 
-    Hyperbolic-plane targets: the image must contain two hyperbolic
-    elements with distinct axis endpoint sets.  Cayley-tree targets: two
-    non-commuting hyperbolic (positive translation length) elements.
-    Finite-tree targets have no ideal boundary; only trivial images are
-    refused.  Euclidean targets are not supported.
+    Hyperbolic-plane and Cayley-tree targets: among words of length at most
+    ``spaces.BOUNDARY_SEARCH_RADIUS``, the image must contain two hyperbolic
+    elements with no common fixed end (tr[g, h] != 2 on the hyperbolic
+    plane; words that do not commute on the Cayley tree).  Finite-tree
+    targets have no ideal boundary; only trivial images are refused.
+    Euclidean targets are not supported.
     """
     rho.space.check_not_boundary_fixing(rho)
 

@@ -12,7 +12,8 @@ Four isometry families, one per model:
   tree of a free group.
 
 Each family owns its identity, its JSON form (``to_json`` and
-``from_json``) and its ``kind``, the name a representation into it carries.
+``from_json``) and its ``kind``, the name a representation into it carries;
+the hyperbolic and Cayley families answer ``is_hyperbolic`` and ``shares_fixed_end``.
 Public constructors and ``from_json`` check their input; ``compose``,
 ``inverse`` and ``identity`` of all four families build their results with
 the trusted ``Isometry._trusted``, which runs none of the orthogonality,
@@ -104,7 +105,10 @@ class EuclideanIsometry(Isometry):
 
     @classmethod
     def from_json(cls, space: EuclideanSpace, data: dict) -> "EuclideanIsometry":
-        return cls(data["matrix"], data["translation"])
+        iso = cls(data["matrix"], data["translation"])
+        if iso.translation.shape != (space.dim,):
+            raise ConfigError(f"a generator of size {iso.translation.size} acts on a space of dim {space.dim}")
+        return iso
 
     def to_json(self) -> dict:
         return {"matrix": self.matrix.tolist(), "translation": self.translation.tolist()}
@@ -136,10 +140,14 @@ class HyperbolicIsometry(Isometry):
         m = np.asarray(matrix, dtype=float)
         if m.shape != (2, 2):
             raise DomainError("hyperbolic isometries are 2x2 matrices")
-        det = float(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
+        ad, bc = float(m[0, 0] * m[1, 1]), float(m[0, 1] * m[1, 0])
+        det = ad - bc
         if not det > 0.0:  # NaN included
             raise DomainError("matrix must have positive determinant")
-        self.matrix = self._signed(m / math.sqrt(det))
+        # det 1 to within the rounding that the division leaves: kept as written, so saved matrices load exactly
+        if abs(det - 1.0) > 4 * 2.0**-52 * (abs(ad) + abs(bc)):
+            m = m / math.sqrt(det)
+        self.matrix = self._signed(m)
 
     @staticmethod
     def _signed(m: np.ndarray) -> np.ndarray:
@@ -207,21 +215,16 @@ class HyperbolicIsometry(Isometry):
             return 0.0
         return 2.0 * math.acosh(h)
 
-    def axis_endpoints(self):
-        """Boundary fixed points of a hyperbolic element, as a sorted pair.
+    def shares_fixed_end(self, other: "HyperbolicIsometry") -> bool:
+        """Whether g and h fix a common point of H^2 or its boundary: tr[g, h] = 2 (Beardon 1983).
 
-        Endpoints are the real eigen-directions, encoded as the slope
-        v0/v1 of the eigenvector (math.inf for a vertical direction).
-        Returns None for non-hyperbolic elements.
-        """
-        if not self.is_hyperbolic():
-            return None
-        eigvals, eigvecs = np.linalg.eig(self.matrix)
-        pts = []
-        for j in range(2):
-            v = np.real(eigvecs[:, j])
-            pts.append(math.inf if abs(v[1]) < 1e-12 else float(v[0] / v[1]))
-        return tuple(sorted(pts))
+        Fricke: tr[g, h] = x^2 + y^2 + z^2 - xyz - 2 with x = tr g, y = tr h, z = tr gh, exact on
+        integral matrices and free of the PSL sign; judged within 16 ulps of (|g| |h|)^2, |.| the sum
+        of absolute entries, which bounds each term and scales as non-integral matrices round."""
+        g, h = self.matrix, other.matrix
+        x, y, z = self.trace, other.trace, float(np.trace(g @ h))  # gh without compose's sign
+        size = float(np.abs(g).sum() * np.abs(h).sum())
+        return not abs(x * x + y * y + z * z - x * y * z - 4.0) > 16 * 2.0**-52 * size * size  # NaN included
 
 
 class TreeAutomorphism(Isometry):
@@ -307,6 +310,14 @@ class CayleyTranslation(Isometry):
 
     def is_identity(self) -> bool:
         return self.word == ()
+
+    def is_hyperbolic(self) -> bool:
+        """Every element but e translates along an axis: the action is free."""
+        return self.word != ()
+
+    def shares_fixed_end(self, other: "CayleyTranslation") -> bool:
+        """Whether self and other fix a common end; in a free action, whether they commute."""
+        return words.multiply(self.word, other.word) == words.multiply(other.word, self.word)
 
     def translation_length(self) -> int:
         """Length of the cyclic reduction (the tree translation length)."""

@@ -14,12 +14,13 @@ Each model owns its behaviour: ``dist``, ``geodesic_point`` and
 turns a JSON ``"model"`` into its class); the local minimiser that
 harmonic relaxation runs on it (``local_min(y0, point_terms, iso_terms)``,
 whose solver constants are module constants); and the precondition of the
-width-constant estimator (``check_not_boundary_fixing``).  An operation a
-model does not support raises ``CapabilityError``.  The two tree models
-are rooted (a finite tree at its first vertex, a Cayley tree at e) and
-share one distance, one geodesic walk along root paths and one local
-search; each supplies parents, heights, lowest common ancestors and the
-search candidates.
+width-constant estimator (``check_not_boundary_fixing``: on the hyperbolic
+plane and the Cayley tree, one search for two hyperbolic elements with no
+common fixed end).  An operation a model does not support raises
+``CapabilityError``.  The two tree models are rooted (a finite tree at its
+first vertex, a Cayley tree at e) and share one distance, one geodesic walk
+along root paths and one local search; each supplies parents, heights,
+lowest common ancestors and the search candidates.
 
 Points are checked once, where they enter.  The public ``dist`` and
 ``geodesic_point`` check their points (and t), then delegate to the
@@ -209,6 +210,23 @@ class Space:
         )
 
 
+def _check_no_common_fixed_end(space: Space, rho) -> None:
+    """``check_not_boundary_fixing`` of the hyperbolic plane and the Cayley tree: a hyperbolic element
+    fixes only the two ends of its axis, so two with no common fixed end leave no end fixed."""
+    seen = []
+    for g in words.enumerate_ball(rho.alphabet_size, BOUNDARY_SEARCH_RADIUS):
+        iso = rho.evaluate(g)
+        if not iso.is_hyperbolic():
+            continue
+        if not all(map(iso.shares_fixed_end, seen)):
+            return
+        seen.append(iso)
+    raise PreconditionError(
+        f"image fixes an ideal point: no two words up to length {BOUNDARY_SEARCH_RADIUS} "
+        "are hyperbolic without a common fixed end"
+    )
+
+
 class EuclideanSpace(Space):
     model = "euclidean"
 
@@ -280,14 +298,6 @@ def _safe_ratio(phi: float, h: float) -> float:
     if s2 <= 1e-24:
         return 1.0
     return phi / math.sqrt(s2)
-
-
-def _end_diff(a: float, b: float) -> float:
-    if math.isinf(a) and math.isinf(b):
-        return 0.0
-    if math.isinf(a) or math.isinf(b):
-        return math.inf
-    return a - b
 
 
 # Hyperbolic arithmetic on Python floats: points are 3-tuples, an SO(2,1)
@@ -388,16 +398,19 @@ class HyperbolicPlane(Space):
         if not isinstance(p, np.ndarray) or p.shape != (3,):
             raise ModelMismatchError(f"expected a hyperboloid point, got {p!r}")
 
+    def _on_sheet(self, p) -> bool:
+        """validate_point's test of a 3-vector; false for NaN and infinite coordinates."""
+        return abs(self.minkowski(p, p) - 1.0) <= 1e-6 and p[0] > 0.0
+
     def validate_point(self, p) -> None:
         self._check_point(p)
-        if abs(self.minkowski(p, p) - 1.0) > 1e-6 or p[0] <= 0.0:
+        if not self._on_sheet(p):
             raise InvalidPointError("point violates x0^2 - x1^2 - x2^2 = 1, x0 > 0")
 
     def _point_from_json(self, data: dict) -> np.ndarray:
-        # finite coordinates that pass validate_point load as written; point() renormalises or refuses the rest
+        # coordinates that pass validate_point load as written; point() renormalises or refuses the rest
         x = np.asarray(data["coords"], dtype=float)
-        on_sheet = x.shape == (3,) and np.isfinite(x).all() and abs(self.minkowski(x, x) - 1.0) <= 1e-6 and x[0] > 0.0
-        return x if on_sheet else self.point(x)
+        return x if x.shape == (3,) and self._on_sheet(x) else self.point(x)
 
     def _dist(self, p, q) -> float:
         return _h_dist(p.tolist(), q.tolist())
@@ -470,26 +483,7 @@ class HyperbolicPlane(Space):
                 break
         return y0 if y is start else np.array(y)
 
-    def check_not_boundary_fixing(self, rho) -> None:
-        """The image must contain two hyperbolic elements with distinct axis endpoint sets."""
-        endpoint_sets: list[tuple] = []
-        for g in words.enumerate_ball(rho.alphabet_size, BOUNDARY_SEARCH_RADIUS):
-            ends = rho.evaluate(g).axis_endpoints()
-            if ends is None:
-                continue
-            same = any(
-                max(abs(_end_diff(a, b)) for a, b in zip(ends, other)) <= 1e-6
-                for other in endpoint_sets
-            )
-            if not same:
-                endpoint_sets.append(ends)
-            if len(endpoint_sets) >= 2:
-                return
-        raise PreconditionError(
-            "representation image fixes an ideal boundary point: no two "
-            "hyperbolic elements with distinct axes found "
-            f"(searched words up to length {BOUNDARY_SEARCH_RADIUS})"
-        )
+    check_not_boundary_fixing = _check_no_common_fixed_end
 
 
 class _TreeSpace(Space):
@@ -775,21 +769,22 @@ class CayleyTree(_TreeSpace):
     def _point_from_json(self, data: dict) -> CayleyPoint:
         w = words.parse_word(data["word"], self.rank)
         if "letter" in data:
-            letter = words.parse_word(data["letter"], self.rank)[0]
-            return self.edge_point(w, letter, float(data["t"]))
+            letter = words.parse_word(data["letter"], self.rank)
+            if len(letter) != 1:
+                raise InvalidPointError(f"edge letter {data['letter']!r} is not one signed letter")
+            return self.edge_point(w, letter[0], float(data["t"]))
         return self.vertex_point(w)
 
     def vertex_point(self, w: words.Word) -> CayleyPoint:
-        words.check_alphabet(w, self.rank)
-        if words.reduce_word(w) != w:
-            raise InvalidPointError("vertex word must be freely reduced")
-        return CayleyPoint(word=w)
+        p = CayleyPoint(word=w)
+        self.validate_point(p)
+        return p
 
     def edge_point(self, w: words.Word, letter: int, t: float) -> CayleyPoint:
         """Point at parameter t along the edge from vertex w toward w*letter."""
         if not (0.0 <= t <= 1.0):
             raise DomainError("edge parameter outside [0, 1]")
-        words.check_alphabet(w, self.rank)
+        self.validate_point(CayleyPoint(word=w))
         if letter == 0 or abs(letter) > self.rank:
             raise InvalidPointError(f"invalid letter {letter}")
         if t == 0.0:
@@ -808,8 +803,8 @@ class CayleyTree(_TreeSpace):
         for x in p.word:
             if abs(x) > self.rank:
                 words.check_alphabet(p.word, self.rank)  # raises AlphabetMismatchError
-            if x == -last:
-                raise InvalidPointError("vertex word must be freely reduced")
+            if x == -last or x == 0:
+                raise InvalidPointError("vertex word must be freely reduced, without letter 0")
             last = x
         if p.letter != 0:
             if abs(p.letter) > self.rank:
@@ -891,22 +886,7 @@ class CayleyTree(_TreeSpace):
         edges = {(v[:-1], v[-1]) for v in verts if v}
         return verts, [(w, w + (letter,)) for w, letter in edges]
 
-    def check_not_boundary_fixing(self, rho) -> None:
-        """The image must contain two non-commuting hyperbolic elements."""
-        hyperbolics = []
-        for g in words.enumerate_ball(rho.alphabet_size, BOUNDARY_SEARCH_RADIUS):
-            iso = rho.evaluate(g)
-            if iso.translation_length() == 0:
-                continue
-            for h in hyperbolics:
-                if words.multiply(iso.word, h) != words.multiply(h, iso.word):
-                    return
-            hyperbolics.append(iso.word)
-        raise PreconditionError(
-            "representation image fixes an end of the tree: no two "
-            "non-commuting hyperbolic elements found "
-            f"(searched words up to length {BOUNDARY_SEARCH_RADIUS})"
-        )
+    check_not_boundary_fixing = _check_no_common_fixed_end
 
 
 #: the one place a JSON "model" string picks a class

@@ -472,10 +472,14 @@ class TestFuzz:
             ("rep", '{"space": {"model": "cayley", "rank": -Infinity}, "generators": [{"word": "a"}]}'),
             ("basepoint", '{"model": "cayley", "word": "z"}'),
             ("hyperbolic-basepoint", '{"model": "hyperbolic", "coords": [0, 1, 0]}'),
+            ("basepoint", '{"model": "cayley", "word": "e", "letter": "", "t": 0.5}'),
+            ("basepoint", '{"model": "cayley", "word": "e", "letter": "e", "t": 0.5}'),
+            ("basepoint", '{"model": "cayley", "word": "e", "letter": "ab", "t": 0.5}'),
         ],
         ids=[
             "tree-len", "matrix-string", "matrix-ragged", "dim-string", "word-number", "basepoint-word", "basepoint-t",
             "len-nan", "rank-infinity", "basepoint-beyond-alphabet", "basepoint-off-sheet",
+            "letter-empty", "letter-identity", "letter-two",
         ],
     )
     def test_wrongly_typed_json_is_config_error(self, capsys, tmp_path, free_rep_file, hyp_rep_file, entry, text):

@@ -1,8 +1,12 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from geowidth.cli import main
 from geowidth.equivariant import (
     Edge,
     EquivariantMap,
@@ -29,6 +33,41 @@ from geowidth.isometries import (
     TreeAutomorphism,
 )
 from geowidth.spaces import CayleyTree, EuclideanSpace, HyperbolicPlane, MetricTree
+
+from conftest import parabolic_rep, readme_rep
+
+
+#: z -> 2z and z -> 2z + 1: two hyperbolic elements that share the fixed end inf
+AFFINE_PAIR = (
+    [[math.sqrt(2.0), 0.0], [0.0, 1.0 / math.sqrt(2.0)]],
+    [[math.sqrt(2.0), 1.0 / math.sqrt(2.0)], [0.0, 1.0 / math.sqrt(2.0)]],
+)
+
+#: integral generators of SL(2, Z): T, T^-1, U, U^-1 and S
+SL2Z_LETTERS = (((1, 1), (0, 1)), ((1, -1), (0, 1)), ((1, 0), (1, 1)), ((1, 0), (-1, 1)), ((0, -1), (1, 0)))
+
+
+def _int_mul(a, b):
+    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(2)) for j in range(2)) for i in range(2))
+
+
+def _int_inverse(a):
+    (p, q), (r, s) = a
+    return ((s, -q), (-r, p))
+
+
+def _int_word(letters):
+    m = ((1, 0), (0, 1))
+    for k in letters:
+        m = _int_mul(m, SL2Z_LETTERS[k])
+    return m
+
+
+def _int_power(a, n):
+    m = ((1, 0), (0, 1))
+    for _ in range(abs(n)):
+        m = _int_mul(m, a if n > 0 else _int_inverse(a))
+    return m
 
 
 def hyperbolic_axial_rep():
@@ -243,15 +282,63 @@ class TestBoundaryChecks:
             check_not_boundary_fixing(Representation.free_on_cayley_tree(1))
 
     def test_hyperbolic_pair_passes(self):
-        rho = Representation(
-            HyperbolicPlane(),
-            [
-                HyperbolicIsometry([[2.0, 1.0], [1.0, 1.0]]),
-                HyperbolicIsometry([[5.0, 2.0], [2.0, 1.0]]),
-            ],
-            check_samples=10,
-        )
-        check_not_boundary_fixing(rho)
+        check_not_boundary_fixing(readme_rep())
+
+    def test_parabolic_pair_passes(self):
+        check_not_boundary_fixing(parabolic_rep())
+
+    @pytest.mark.parametrize(
+        "matrices",
+        # the affine pair's axes differ, but both fix inf: tr[g, h] = 2
+        [AFFINE_PAIR, ([[2, 1], [1, 1]], [[5, 3], [3, 2]])],
+        ids=["affine", "commuting"],
+    )
+    def test_pair_with_a_common_fixed_end_refused(self, matrices):
+        rho = Representation(HyperbolicPlane(), [HyperbolicIsometry(m) for m in matrices], check_samples=10)
+        with pytest.raises(PreconditionError):
+            check_not_boundary_fixing(rho)
+
+    def test_conjugated_float_axis_refused(self):
+        # the powers of one non-integral matrix round apart, by more than ulps of Fricke's terms
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            p = rng.standard_normal((2, 2))
+            if np.linalg.det(p) < 0.0:
+                p = p[::-1]
+            g = HyperbolicIsometry(p @ np.diag([math.e, 1.0 / math.e]) @ np.linalg.inv(p))
+            with pytest.raises(PreconditionError):
+                check_not_boundary_fixing(Representation(HyperbolicPlane(), [g], check_samples=0))
+
+    def test_affine_pair_file_exits_66(self, tmp_path, capsys):
+        path = tmp_path / "affine.json"
+        generators = [{"matrix": m} for m in AFFINE_PAIR]
+        path.write_text(json.dumps({"space": {"model": "hyperbolic"}, "generators": generators}))
+        code = main(["estimate-cstar", "--rep", str(path), "--trials", "10"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (66, "")
+        assert "common fixed end" in err
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        shape=st.sampled_from(["free", "powers", "parabolic"]),
+        p=st.lists(st.integers(0, 4), max_size=4),
+        q=st.lists(st.integers(0, 4), max_size=4),
+        j=st.integers(-2, 2),
+        k=st.integers(-2, 2),
+    )
+    def test_shares_fixed_end_is_the_exact_commutator_trace(self, shape, p, q, j, k):
+        # entries stay small enough that every term of Fricke's identity is an exact float
+        if shape == "free":  # two words, which rarely share an end
+            g, h = _int_word(p), _int_word(q)
+        elif shape == "powers":  # powers of one word commute
+            g, h = _int_power(_int_word(p), j), _int_power(_int_word(p), k)
+        else:  # conjugates of powers of T by one word fix its image of inf
+            c = _int_word(p)
+            g = _int_mul(_int_mul(c, _int_power(SL2Z_LETTERS[0], j)), _int_inverse(c))
+            h = _int_mul(_int_mul(c, _int_power(SL2Z_LETTERS[0], k)), _int_inverse(c))
+        commutator = _int_mul(_int_mul(g, h), _int_mul(_int_inverse(g), _int_inverse(h)))
+        exact = commutator[0][0] + commutator[1][1] == 2
+        assert HyperbolicIsometry(g).shares_fixed_end(HyperbolicIsometry(h)) == exact
 
     def test_single_axis_refused(self):
         rho = hyperbolic_axial_rep()

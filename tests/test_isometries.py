@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from geowidth.errors import AlphabetMismatchError, DomainError
+from geowidth.errors import AlphabetMismatchError, ConfigError, DomainError
 from geowidth.isometries import (
     CayleyTranslation,
     EuclideanIsometry,
@@ -54,6 +54,14 @@ class TestEuclideanIsometry:
         assert (gi.matrix.tolist(), gi.translation.tolist()) == (inv.matrix.tolist(), inv.translation.tolist())
         assert (e.matrix.tolist(), e.translation.tolist()) == (np.eye(2).tolist(), [0.0, 0.0])
 
+    def test_generator_of_another_dimension_refused(self):
+        data = {
+            "space": {"model": "euclidean", "dim": 3},
+            "generators": [{"matrix": [[1.0, 0.0], [0.0, 1.0]], "translation": [0.0, 1.0]}],
+        }
+        with pytest.raises(ConfigError):
+            Representation.from_json(data, check_samples=0)
+
     def test_rejects_non_orthogonal(self):
         with pytest.raises(DomainError):
             EuclideanIsometry([[2.0, 0.0], [0.0, 1.0]], [0.0, 0.0])
@@ -103,16 +111,15 @@ class TestHyperbolicIsometry:
         assert not rot.is_hyperbolic()
         assert rot.translation_length() == 0.0
 
-    def test_axis_endpoints(self):
-        g = HyperbolicIsometry([[math.e, 0.0], [0.0, 1.0 / math.e]])
-        assert g.axis_endpoints() == (0.0, math.inf)
-        h = HyperbolicIsometry([[2.0, 1.0], [1.0, 1.0]])
-        lo, hi = h.axis_endpoints()
-        # fixed slopes solve s = (2s + 1) / (s + 1), i.e. s^2 - s - 1 = 0
-        phi = (1.0 + math.sqrt(5.0)) / 2.0
-        assert hi == pytest.approx(phi)
-        assert lo == pytest.approx(1.0 - phi)
-        assert HyperbolicIsometry(rotation2(1.0)).axis_endpoints() is None
+    def test_saved_matrices_load_exactly(self):
+        # a matrix that its own normalisation left has determinant 1 to within that rounding
+        rng = np.random.default_rng(11)
+        for _ in range(20_000):
+            m = rng.standard_normal((2, 2)) * 10.0 ** rng.uniform(-3.0, 3.0)
+            if m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0] <= 0.0:
+                m = m[::-1]
+            g = HyperbolicIsometry(m)
+            assert np.array_equal(HyperbolicIsometry.from_json(HyperbolicPlane(), g.to_json()).matrix, g.matrix)
 
     def test_so21_matrix_agrees(self):
         g = HyperbolicIsometry([[2.0, 1.0], [1.0, 1.0]])

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from geowidth.equivariant import build_bouquet_map
 from geowidth.errors import DomainError, InvalidPointError, ModelMismatchError
 from geowidth.isometries import HyperbolicIsometry
 from geowidth.spaces import (
@@ -18,7 +19,7 @@ from geowidth.spaces import (
     triangle_defect,
 )
 
-from conftest import all_model_spaces
+from conftest import all_model_spaces, readme_rep
 
 
 def _edge_ends(tree: MetricTree, x: TreePoint):
@@ -452,6 +453,7 @@ class TestConstruction:
         [
             CayleyPoint(word=(1,), letter=-1, t=0.5),  # canonical form: edge_point((), 1, 0.5)
             CayleyPoint(word=(1, -1)),  # the identity vertex, unreduced
+            CayleyPoint(word=(1, 0, 2)),  # letter 0 is no generator
         ],
     )
     def test_cayley_non_canonical_point(self, point):
@@ -461,9 +463,29 @@ class TestConstruction:
         with pytest.raises(InvalidPointError):
             space.dist(point, space.vertex_point(()))
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda s: s.vertex_point((1, 0, 2)),
+            lambda s: s.edge_point((1, 0, 2), 1, 0.5),
+            lambda s: s.edge_point((1, -1), 2, 0.5),
+        ],
+        ids=["vertex-zero-letter", "edge-zero-letter", "edge-unreduced"],
+    )
+    def test_cayley_constructors_check_through_validate_point(self, build):
+        with pytest.raises(InvalidPointError):
+            build(CayleyTree(2))
+
     def test_hyperbolic_bad_point(self, hyperbolic):
         with pytest.raises(InvalidPointError):
             hyperbolic.point([1, 2, 0])  # spacelike, cannot rescale onto the sheet
+
+    def test_hyperbolic_nan_point_refused(self, hyperbolic):
+        p = np.array([math.nan, 0.0, 0.0])
+        with pytest.raises(InvalidPointError):
+            hyperbolic.validate_point(p)
+        with pytest.raises(InvalidPointError):
+            build_bouquet_map(readme_rep(), p)
 
 
 class TestHyperbolicLocalMin:
