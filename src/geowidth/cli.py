@@ -10,8 +10,10 @@ One binary, seven subcommands::
     geowidth conjugacy       list-conjugacy solver (subcommand: solve)
     geowidth orbit-report    orbit-metric sums for a conjugacy instance
 
-Reports go to stdout in json (canonical), csv, or human format; progress
-goes to stderr.  Identical argv and seed produce byte-identical stdout.
+Reports go to stdout in json (canonical), csv, or human format.  Identical
+argv and seed produce byte-identical stdout.  Each subcommand returns its
+report fields and exit code; ``main`` adds the version, seed and config
+echo, writes the report and maps errors to exit codes.
 
 Exit codes: 0 success / conjugate; 2 property violation; 3 not conjugate;
 4 not conjugate up to the searched radius; 64 usage error (a number out of
@@ -30,8 +32,10 @@ import numpy as np
 
 from . import __version__, words
 from .conjugacy import (
+    VERDICT_CONJUGATE,
+    VERDICT_NOT_CONJUGATE,
+    VERDICT_NOT_CONJUGATE_UP_TO,
     ConjugacyInstance,
-    OrbitBoundReport,
     orbit_bound_report,
     solve,
     verify,
@@ -59,6 +63,11 @@ EXIT_USAGE = 64
 EXIT_CONFIG = 65
 EXIT_PRECONDITION = 66
 EXIT_INTERNAL = 70
+VERDICT_EXIT = {
+    VERDICT_CONJUGATE: EXIT_OK,
+    VERDICT_NOT_CONJUGATE: EXIT_NOT_CONJUGATE,
+    VERDICT_NOT_CONJUGATE_UP_TO: EXIT_NOT_CONJUGATE_UP_TO,
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -93,11 +102,6 @@ def _emit(report: dict, fmt: str) -> None:
     sys.stdout.write("".join(line + "\n" for line in lines))
 
 
-def _base_report(ns: argparse.Namespace) -> dict:
-    echo = {k: v for k, v in sorted(vars(ns).items()) if k != "func"}
-    return {"version": __version__, "seed": ns.seed, "config": echo}
-
-
 def _build_space(ns):
     """The space of --model; a tree file holds the tree's JSON fields."""
     if not ns.tree_file:
@@ -108,7 +112,19 @@ def _build_space(ns):
         return space_from_json({"dim": ns.dim, **parse_json(f.read()), "model": ns.model})
 
 
-def cmd_check_cat0(ns) -> int:
+def _homotopy(ns) -> GeodesicHomotopy:
+    """The geodesic homotopy from the map of --u to the map of --v, read with u's representation."""
+    u = load_map(ns.u)
+    return GeodesicHomotopy(u, load_map(ns.v, rho=u.rho))
+
+
+def _instance(ns, alphabet_size: int, rep, **options) -> ConjugacyInstance:
+    """The instance of --a and --b, each a comma-separated list of words."""
+    lists = (tuple(words.parse_word(part, alphabet_size) for part in text.split(",")) for text in (ns.a, ns.b))
+    return ConjugacyInstance(alphabet_size, *lists, rep=rep, **options)
+
+
+def cmd_check_cat0(ns) -> tuple[dict, int]:
     space = _build_space(ns)
     rng = np.random.default_rng(ns.seed)
     grid = [0.0, 0.25, 0.5, 0.75, 1.0]
@@ -124,139 +140,81 @@ def cmd_check_cat0(ns) -> int:
         # a defect is a difference of squared distances, each within a few ulps of D^2
         d = max(space.dist(p, q) for i, p in enumerate(pts) for q in pts[i + 1:])
         ok = ok and min(tri, *quad, *conv) >= -(1e-9 + 16 * 2.0**-52 * d * d)
-    report = _base_report(ns)
-    report.update(
-        {
-            "model": ns.model,
-            "trials": ns.trials,
-            "min_triangle_defect": float(min_tri),
-            "min_quadrilateral_defect": float(min_quad),
-            "min_convexity_defect": float(min_conv),
-            "ok": ok,
-        }
-    )
-    _emit(report, ns.format)
-    return EXIT_OK if ok else EXIT_PROPERTY_VIOLATION
+    fields = {
+        "model": ns.model,
+        "trials": ns.trials,
+        "min_triangle_defect": float(min_tri),
+        "min_quadrilateral_defect": float(min_quad),
+        "min_convexity_defect": float(min_conv),
+        "ok": ok,
+    }
+    return fields, EXIT_OK if ok else EXIT_PROPERTY_VIOLATION
 
 
-def cmd_width(ns) -> int:
-    u = load_map(ns.u)
-    v = load_map(ns.v, rho=u.rho)
-    h = GeodesicHomotopy(u, v)
+def cmd_width(ns) -> tuple[dict, int]:
+    h = _homotopy(ns)
     w_inf = homotopy_width_inf(h)
     w2, w2_err = homotopy_width_2_detailed(h, ns.samples_per_edge)
-    report = _base_report(ns)
-    report.update(
-        {
-            "w_inf": w_inf,
-            "w2": w2,
-            "w2_error_estimate": w2_err,
-            "length_u": length(u),
-            "length_v": length(v),
-            "energy_u": energy(u),
-            "energy_v": energy(v),
-        }
-    )
-    _emit(report, ns.format)
-    return EXIT_OK
+    fields = {
+        "w_inf": w_inf,
+        "w2": w2,
+        "w2_error_estimate": w2_err,
+        "length_u": length(h.u),
+        "length_v": length(h.v),
+        "energy_u": energy(h.u),
+        "energy_v": energy(h.v),
+    }
+    return fields, EXIT_OK
 
 
-def cmd_convexity(ns) -> int:
-    u = load_map(ns.u)
-    v = load_map(ns.v, rho=u.rho)
-    h = GeodesicHomotopy(u, v)
+def cmd_convexity(ns) -> tuple[dict, int]:
     s_grid = [i / (ns.grid - 1) for i in range(ns.grid)]
-    rows = convexity_report(h, s_grid)
-    report = _base_report(ns)
-    report["table"] = [{"s": r.s, "length": r.length, "energy": r.energy} for r in rows]
-    _emit(report, ns.format)
-    return EXIT_OK
+    rows = convexity_report(_homotopy(ns), s_grid)
+    return {"table": [{"s": r.s, "length": r.length, "energy": r.energy} for r in rows]}, EXIT_OK
 
 
-def cmd_harmonic(ns) -> int:
+def cmd_harmonic(ns) -> tuple[dict, int]:
     u0 = load_map(ns.map)
     result = relax(u0, RelaxationConfig(max_iterations=ns.max_iterations, displacement_tolerance=ns.tolerance))
-    report = _base_report(ns)
-    report.update(
-        {
-            "e_star": result.e_star,
-            "l_star": result.l_star,
-            "iterations": result.iterations,
-            "converged": result.converged,
-            "energy_trace": result.energy_trace,
-            "map": map_to_json(result.map),
-        }
-    )
-    _emit(report, ns.format)
-    return EXIT_OK
+    fields = {
+        "e_star": result.e_star,
+        "l_star": result.l_star,
+        "iterations": result.iterations,
+        "converged": result.converged,
+        "energy_trace": result.energy_trace,
+        "map": map_to_json(result.map),
+    }
+    return fields, EXIT_OK
 
 
-def cmd_estimate_cstar(ns) -> int:
-    rho = load_representation(ns.rep)
-    estimate = estimate_width_constant(rho, trials=ns.trials, seed=ns.seed)
-    report = _base_report(ns)
-    report["c_hat"] = estimate.c_hat
-    report["table"] = estimate.samples
-    _emit(report, ns.format)
-    return EXIT_OK
+def cmd_estimate_cstar(ns) -> tuple[dict, int]:
+    estimate = estimate_width_constant(load_representation(ns.rep), trials=ns.trials, seed=ns.seed)
+    return {"c_hat": estimate.c_hat, "table": estimate.samples}, EXIT_OK
 
 
-def _parse_word_list(text: str, alphabet_size: int):
-    return tuple(words.parse_word(part, alphabet_size) for part in text.split(","))
-
-
-def cmd_conjugacy_solve(ns) -> int:
+def cmd_conjugacy_solve(ns) -> tuple[dict, int]:
     rep = load_representation(ns.rep) if ns.rep else None
-    inst = ConjugacyInstance(
-        alphabet_size=ns.alphabet,
-        lists_a=_parse_word_list(ns.a, ns.alphabet),
-        lists_b=_parse_word_list(ns.b, ns.alphabet),
-        rep=rep,
-        policy=ns.policy,
-        c_star=ns.cstar,
-        c=ns.c,
-        max_radius=ns.max_radius,
-    )
+    inst = _instance(ns, ns.alphabet, rep, policy=ns.policy, c_star=ns.cstar, c=ns.c, max_radius=ns.max_radius)
     cert = solve(inst)
-    report = _base_report(ns)
-    report.update(
-        {
-            "verdict": cert.verdict,
-            "g": None if cert.conjugator is None else words.word_to_str(cert.conjugator),
-            "radius_searched": cert.radius_searched,
-            "transcript": [] if cert.conjugator is None else verify(cert.conjugator, inst)[1],
-            "stats": {"enumerated": cert.enumerated, "seconds": round(cert.seconds, 6)},
-        }
-    )
-    # timing is not deterministic; byte-stable output zeroes it unless asked
-    if not ns.timings:
-        report["stats"]["seconds"] = 0.0
-    _emit(report, ns.format)
-    return cert.exit_code
+    fields = {
+        "verdict": cert.verdict,
+        "g": None if cert.conjugator is None else words.word_to_str(cert.conjugator),
+        "radius_searched": cert.radius_searched,
+        "transcript": [] if cert.conjugator is None else verify(cert.conjugator, inst)[1],
+        # timing is not deterministic; byte-stable output zeroes it unless asked
+        "stats": {"enumerated": cert.enumerated, "seconds": round(cert.seconds, 6) if ns.timings else 0.0},
+    }
+    return fields, VERDICT_EXIT[cert.verdict]
 
 
-def cmd_orbit_report(ns) -> int:
+def cmd_orbit_report(ns) -> tuple[dict, int]:
     rep = load_representation(ns.rep)
-    inst = ConjugacyInstance(
-        alphabet_size=rep.alphabet_size,
-        lists_a=_parse_word_list(ns.a, rep.alphabet_size),
-        lists_b=_parse_word_list(ns.b, rep.alphabet_size),
-        rep=rep,
-    )
+    inst = _instance(ns, rep.alphabet_size, rep)
     with malformed_input("--basepoint"):
         y = rep.space.point_from_json(parse_json(ns.basepoint))
     g = words.parse_word(ns.g, rep.alphabet_size) if ns.g else None
-    rep_report: OrbitBoundReport = orbit_bound_report(inst, y, g)
-    report = _base_report(ns)
-    report.update(
-        {
-            "orbit_sum": rep_report.orbit_sum,
-            "word_sum": rep_report.word_sum,
-            "ratio": rep_report.ratio,
-        }
-    )
-    _emit(report, ns.format)
-    return EXIT_OK
+    bound = orbit_bound_report(inst, y, g)
+    return {"orbit_sum": bound.orbit_sum, "word_sum": bound.word_sum, "ratio": bound.ratio}, EXIT_OK
 
 
 def _at_least(minimum: int):
@@ -282,50 +240,43 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="geowidth", description=__doc__.split("\n\n")[0])
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--seed", type=_at_least(0), default=DEFAULT_SEED)
+    common.add_argument("--format", choices=["json", "csv", "human"], default="json")
 
-    def common(p):
-        p.add_argument("--seed", type=_at_least(0), default=DEFAULT_SEED)
-        p.add_argument("--format", choices=["json", "csv", "human"], default="json")
-
-    p = sub.add_parser("check-cat0", help="comparison-inequality property suite")
-    common(p)
+    p = sub.add_parser("check-cat0", parents=[common], help="comparison-inequality property suite")
     p.add_argument("--model", choices=["euclidean", "hyperbolic", "tree"], required=True)
     p.add_argument("--dim", type=int, default=2)
     p.add_argument("--tree-file")
     p.add_argument("--trials", type=_at_least(1), default=1000)
     p.set_defaults(func=cmd_check_cat0)
 
-    p = sub.add_parser("width", help="widths of the geodesic homotopy between two maps")
-    common(p)
+    p = sub.add_parser("width", parents=[common], help="widths of the geodesic homotopy between two maps")
     p.add_argument("--u", required=True, help="map file (json)")
     p.add_argument("--v", required=True, help="map file (json)")
     p.add_argument("--samples-per-edge", type=int, default=64)
     p.set_defaults(func=cmd_width)
 
-    p = sub.add_parser("convexity", help="length/energy convexity along a homotopy")
-    common(p)
+    p = sub.add_parser("convexity", parents=[common], help="length/energy convexity along a homotopy")
     p.add_argument("--u", required=True)
     p.add_argument("--v", required=True)
     p.add_argument("--grid", type=_at_least(2), default=11)
     p.set_defaults(func=cmd_convexity)
 
-    p = sub.add_parser("harmonic", help="relax a map to an energy minimizer")
-    common(p)
+    p = sub.add_parser("harmonic", parents=[common], help="relax a map to an energy minimizer")
     p.add_argument("--map", required=True)
     p.add_argument("--max-iterations", type=int, default=2000)
     p.add_argument("--tolerance", type=finite, default=1e-10)
     p.set_defaults(func=cmd_harmonic)
 
-    p = sub.add_parser("estimate-cstar", help="empirical width-inequality constant")
-    common(p)
+    p = sub.add_parser("estimate-cstar", parents=[common], help="empirical width-inequality constant")
     p.add_argument("--rep", required=True, help="representation file (json)")
     p.add_argument("--trials", type=_at_least(1), default=1000)
     p.set_defaults(func=cmd_estimate_cstar)
 
     p = sub.add_parser("conjugacy", help="list-conjugacy solver")
     conj_sub = p.add_subparsers(dest="conjugacy_command", required=True)
-    ps = conj_sub.add_parser("solve")
-    common(ps)
+    ps = conj_sub.add_parser("solve", parents=[common])
     ps.add_argument("--alphabet", type=_at_least(1), required=True)
     ps.add_argument("--a", required=True, help="comma-separated words, e.g. 'xy,yX'")
     ps.add_argument("--b", required=True)
@@ -337,8 +288,7 @@ def build_parser() -> _Parser:
     ps.add_argument("--timings", action="store_true", help="include wall-clock seconds")
     ps.set_defaults(func=cmd_conjugacy_solve)
 
-    p = sub.add_parser("orbit-report", help="orbit-metric sums for a conjugacy instance")
-    common(p)
+    p = sub.add_parser("orbit-report", parents=[common], help="orbit-metric sums for a conjugacy instance")
     p.add_argument("--rep", required=True)
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
@@ -355,8 +305,11 @@ def main(argv=None) -> int:
         ns = parser.parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
+    config = {k: v for k, v in vars(ns).items() if k != "func"}
     try:
-        return ns.func(ns)
+        fields, code = ns.func(ns)
+        _emit({"version": __version__, "seed": ns.seed, "config": config, **fields}, ns.format)
+        return code
     except ConfigError as e:
         sys.stderr.write(f"config error: {e}\n")
         return EXIT_CONFIG

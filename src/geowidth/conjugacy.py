@@ -80,12 +80,6 @@ class ConjugacyCertificate:
     enumerated: int = 0
     seconds: float = 0.0
 
-    @property
-    def exit_code(self) -> int:
-        return {VERDICT_CONJUGATE: 0, VERDICT_NOT_CONJUGATE: 3, VERDICT_NOT_CONJUGATE_UP_TO: 4}[
-            self.verdict
-        ]
-
 
 def verify(g: words.Word, inst: ConjugacyInstance):
     """Check b_i = g^-1 a_i g for every i (g reduced), as words or as A_i g = g B_i; returns (ok, transcript)."""

@@ -96,6 +96,8 @@ class EuclideanIsometry(Isometry):
         n = self.translation.size
         if self.translation.shape != (n,) or self.matrix.shape != (n, n):
             raise DomainError("matrix/translation dimension mismatch")
+        if not (np.isfinite(self.matrix).all() and np.isfinite(self.translation).all()):
+            raise DomainError("matrix and translation entries must be finite")
         if not np.allclose(self.matrix @ self.matrix.T, np.eye(n), atol=1e-9):
             raise DomainError("matrix is not orthogonal")
 
@@ -140,13 +142,16 @@ class HyperbolicIsometry(Isometry):
         m = np.asarray(matrix, dtype=float)
         if m.shape != (2, 2):
             raise DomainError("hyperbolic isometries are 2x2 matrices")
-        ad, bc = float(m[0, 0] * m[1, 1]), float(m[0, 1] * m[1, 0])
+        ad, bc = float(m[0, 0]) * float(m[1, 1]), float(m[0, 1]) * float(m[1, 0])
         det = ad - bc
         if not det > 0.0:  # NaN included
             raise DomainError("matrix must have positive determinant")
-        # det 1 to within the rounding that the division leaves: kept as written, so saved matrices load exactly
-        if abs(det - 1.0) > 4 * 2.0**-52 * (abs(ad) + abs(bc)):
+        # det 1 to within the rounding that the division leaves: kept as written, so saved matrices load
+        # exactly; 4 ulps of |ad| + |bc|, with the sum halved so that it stays finite
+        if abs(det - 1.0) > 8 * 2.0**-52 * (0.5 * abs(ad) + 0.5 * abs(bc)):
             m = m / math.sqrt(det)
+        if not (math.isfinite(det) and np.isfinite(m).all()):
+            raise DomainError("matrix entries and determinant must be finite")
         self.matrix = self._signed(m)
 
     @staticmethod

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 
 import numpy as np
 import pytest
@@ -372,6 +373,58 @@ class TestArgumentBounds:
         assert "must be at least" in err
 
 
+class TestReportAssembly:
+    """Every subcommand reports through main: version, seed and config, then its own keys, in every format."""
+
+    CASES = {
+        "check-cat0": (
+            ["check-cat0", "--model", "hyperbolic", "--trials", "5"],
+            0,
+            {"model", "trials", "min_triangle_defect", "min_quadrilateral_defect", "min_convexity_defect", "ok"},
+        ),
+        "width": (
+            ["width", "--u", "U", "--v", "V", "--samples-per-edge", "4"],
+            0,
+            {"w_inf", "w2", "w2_error_estimate", "length_u", "length_v", "energy_u", "energy_v"},
+        ),
+        "convexity": (["convexity", "--u", "U", "--v", "V", "--grid", "3"], 0, {"table"}),
+        "harmonic": (
+            ["harmonic", "--map", "U", "--max-iterations", "3"],
+            0,
+            {"e_star", "l_star", "iterations", "converged", "energy_trace", "map"},
+        ),
+        "estimate-cstar": (["estimate-cstar", "--rep", "REP", "--trials", "3"], 0, {"c_hat", "table"}),
+        "conjugacy-solve": (
+            ["conjugacy", "solve", "--alphabet", "2", "--a", "a", "--b", "b"],
+            3,
+            {"verdict", "g", "radius_searched", "transcript", "stats"},
+        ),
+        "orbit-report": (
+            ["orbit-report", "--rep", "REP", "--a", "ab", "--b", "ba", "--basepoint", '{"model": "cayley", "word": "e"}'],
+            0,
+            {"orbit_sum", "word_sum", "ratio"},
+        ),
+    }
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "human"])
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_report_keys_and_exit_code(self, capsys, hyp_map_files, free_rep_file, name, fmt):
+        argv, expected_code, keys = self.CASES[name]
+        files = {"U": hyp_map_files[0], "V": hyp_map_files[1], "REP": free_rep_file}
+        code, out, err = run(capsys, [files.get(a, a) for a in argv] + ["--format", fmt])
+        assert (code, err) == (expected_code, "")
+        keys = keys | {"version", "seed", "config"}
+        if fmt == "json":
+            report = json.loads(out, parse_constant=_refuse_constant)
+            assert set(report) == keys
+            assert report["config"]["format"] == "json" and "func" not in report["config"]
+        else:
+            # scalar keys come first, one a line; the table follows in its own form
+            scalar = r"# (\w+)=" if fmt == "csv" else r"(\w+): "
+            found = {m.group(1) for m in map(re.compile(scalar).match, out.splitlines()) if m}
+            assert found == keys - {"table"}
+
+
 class TestTopLevel:
     def test_version(self, capsys):
         code, out, _ = run(capsys, ["--version"])
@@ -500,7 +553,7 @@ class TestFuzz:
         "space, generator, message",
         [
             ({"model": "euclidean", "dim": 2}, {"matrix": [[1, 0], [0, 1]], "translation": 3}, "dimension mismatch"),
-            ({"model": "euclidean", "dim": 2}, {"matrix": [[1, 0], [0, 1]], "translation": [None, 0]}, "preserve distances"),
+            ({"model": "euclidean", "dim": 2}, {"matrix": [[1, 0], [0, 1]], "translation": [None, 0]}, "must be finite"),
             ({"model": "hyperbolic"}, {"matrix": [[2, None], [1, 1]]}, "positive determinant"),
         ],
         ids=["translation-scalar", "translation-null", "matrix-null"],

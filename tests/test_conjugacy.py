@@ -126,7 +126,6 @@ class TestSolveFree:
         cert = solve(free_instance(["ab", "a"], ["ab", "a"]))
         assert cert.verdict == VERDICT_CONJUGATE
         assert cert.conjugator == ()
-        assert cert.exit_code == 0
 
     def test_single_pair(self):
         cert = solve(free_instance(["ab"], ["ba"]))
@@ -148,7 +147,6 @@ class TestSolveFree:
     def test_not_conjugate_definite(self):
         cert = solve(free_instance(["a"], ["b"]))
         assert cert.verdict == VERDICT_NOT_CONJUGATE
-        assert cert.exit_code == 3
 
     def test_list_breaks_single_conjugacy(self):
         # a ~ a and b ~ B separately, but no common conjugator
@@ -333,7 +331,6 @@ class TestMatrixContext:
         # conjugator ab has length 2 > radius 1; matrix context cannot upgrade
         if cert.verdict != VERDICT_CONJUGATE:
             assert cert.verdict == VERDICT_NOT_CONJUGATE_UP_TO
-            assert cert.exit_code == 4
             assert cert.radius_searched == 1
 
 

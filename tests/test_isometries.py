@@ -97,6 +97,11 @@ class TestHyperbolicIsometry:
         g = HyperbolicIsometry([[2.0, 0.0], [0.0, 2.0]])
         assert g.is_identity()
 
+    def test_determinant_normalized_near_overflow(self):
+        # |ad| + |bc| = 2.69e308 overflows although det = 6.9e307 is finite
+        g = HyperbolicIsometry([[1.3e154, 1e154], [1e154, 1.3e154]])
+        assert np.linalg.det(g.matrix) == pytest.approx(1.0, abs=1e-12)
+
     def test_sign_normalized(self):
         g = HyperbolicIsometry([[-1.0, 0.0], [0.0, -1.0]])
         assert g.is_identity()
@@ -241,6 +246,20 @@ class TestRepresentation:
 
         with pytest.raises(DomainError):
             Representation(EuclideanSpace(2), [Shear()], check_samples=50)
+
+    @pytest.mark.parametrize(
+        "space, generator",
+        [
+            ({"model": "euclidean", "dim": 2}, {"matrix": [[1, 0], [0, 1]], "translation": [math.nan, 0]}),
+            ({"model": "hyperbolic"}, {"matrix": [[1e308, 1e308], [-1e308, 1e308]]}),
+            ({"model": "hyperbolic"}, {"matrix": [[math.inf, 0], [0, 1]]}),
+        ],
+        ids=["translation-nan", "determinant-overflow", "entry-inf"],
+    )
+    def test_non_finite_generators_refused_without_samples(self, space, generator):
+        # the constructors refuse them; the sampled isometry check does not run
+        with pytest.raises(DomainError, match="must be finite"):
+            Representation.from_json({"space": space, "generators": [generator]}, check_samples=0)
 
     def test_is_trivial(self):
         rho = Representation(

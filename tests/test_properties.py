@@ -3,9 +3,10 @@
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from geowidth import spaces
@@ -298,19 +299,48 @@ def local_instance(seed, radius, least_points=0):
     return point(), point_terms, iso_terms
 
 
+def mpmath_grad(y, points, mats):
+    """The formula of ``spaces._h_grad`` in 200-bit arithmetic: the gradient and its ambient sum."""
+    with mpmath.workprec(200):
+        y0, y1, y2 = y = [mpmath.mpf(x) for x in y]
+
+        def ratio(phi, h):
+            s2 = h * h - 1
+            return 1 if s2 <= 1e-24 else phi / mpmath.sqrt(s2)
+
+        a = [mpmath.mpf(0)] * 3
+        for w, p in points:
+            v0, v1, v2 = (yi - pi for yi, pi in zip(y, p))
+            s = v1 * v1 + v2 * v2 - v0 * v0
+            c = w * 2 * ratio(0 if s <= 0 else 2 * mpmath.asinh(mpmath.sqrt(s) / 2), y0 * p[0] - y1 * p[1] - y2 * p[2])
+            a = [a[0] + c * p[0], a[1] - c * p[1], a[2] - c * p[2]]
+        for w, b in mats:
+            by0, by1, by2 = (b[3 * i] * y0 + b[3 * i + 1] * y1 + b[3 * i + 2] * y2 for i in range(3))
+            h = y0 * by0 - y1 * by1 - y2 * by2
+            c = w * 2 * ratio(mpmath.acosh(max(h, 1)), h)
+            a[0] += c * (by0 + (b[0] * y0 - b[3] * y1 - b[6] * y2))
+            a[1] += c * ((b[1] * y0 - b[4] * y1 - b[7] * y2) - by1)
+            a[2] += c * ((b[2] * y0 - b[5] * y1 - b[8] * y2) - by2)
+        s = y0 * a[0] + y1 * a[1] + y2 * a[2]
+        return [float(g) for g in (s * y0 - a[0], a[1] + s * y1, a[2] + s * y2)], [float(x) for x in a]
+
+
+@example(seed=7935)
+@example(seed=9820)
+@example(seed=16147)
 @settings(max_examples=200, deadline=None)
 @given(seed=seeds)
-def test_float_gradient_matches_numpy_reference(seed):
-    space = SPACES["hyperbolic"]
+def test_float_gradient_matches_mpmath_reference(seed):
+    # projecting the ambient sum a onto T_y cancels terms of size |y|^2 max|a|, which leaves
+    # the float kernel (and any float referee) a few ulps of that, as near a lone parabolic loop far out
     y, point_terms, iso_terms = local_instance(seed, 8.0)
-    iso_mats = [(w, a.so21_matrix()) for w, a in iso_terms]
-    ref = reference_grad(space, y, point_terms, iso_mats)
-    got = spaces._h_grad(
-        tuple(y.tolist()),
-        [(w, tuple(p.tolist())) for w, p in point_terms],
-        [(w, tuple(b.ravel().tolist())) for w, b in iso_mats],
-    )
-    assert np.max(np.abs(np.array(got) - ref)) <= 1e-9 * np.max(np.abs(ref))
+    y = tuple(y.tolist())
+    points = [(w, tuple(p.tolist())) for w, p in point_terms]
+    mats = [(w, tuple(a.so21_matrix().ravel().tolist())) for w, a in iso_terms]
+    ref, ambient = mpmath_grad(y, points, mats)
+    got = spaces._h_grad(y, points, mats)
+    bound = 1e-9 * max(map(abs, ref)) + 4 * 2.0**-52 * sum(x * x for x in y) * max(map(abs, ambient))
+    assert max(abs(g - r) for g, r in zip(got, ref)) <= bound
 
 
 @settings(max_examples=60, deadline=None)
