@@ -16,8 +16,9 @@ report fields and exit code; ``main`` adds the version, seed and config
 echo, writes the report and maps errors to exit codes.
 
 Exit codes: 0 success / conjugate; 2 property violation; 3 not conjugate;
-4 not conjugate up to the searched radius; 64 usage error (a number out of
-range included); 65 bad config; 66 failed precondition; 70 internal error.
+4 not conjugate up to the searched radius; 64 usage error (a number or size
+out of range included); 65 bad config (an operation the model does not
+support included); 66 failed precondition; 70 internal error.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from .equivariant import (
     homotopy_width_inf,
     length,
 )
-from .errors import AlphabetMismatchError, ConfigError, DomainError, GeowidthError, PreconditionError
+from .errors import AlphabetMismatchError, CapabilityError, ConfigError, DomainError, GeowidthError, PreconditionError
 from .harmonic import RelaxationConfig, estimate_width_constant, relax
 from .serialization import load_map, load_representation, malformed_input, map_to_json, parse_json
 from .spaces import convexity_defect, quadrilateral_defect, space_from_json, triangle_defect
@@ -310,7 +311,7 @@ def main(argv=None) -> int:
         fields, code = ns.func(ns)
         _emit({"version": __version__, "seed": ns.seed, "config": config, **fields}, ns.format)
         return code
-    except ConfigError as e:
+    except (ConfigError, CapabilityError) as e:
         sys.stderr.write(f"config error: {e}\n")
         return EXIT_CONFIG
     except PreconditionError as e:
@@ -319,8 +320,8 @@ def main(argv=None) -> int:
     except (DomainError, AlphabetMismatchError, FileNotFoundError) as e:
         sys.stderr.write(f"error: {e}\n")
         return EXIT_USAGE
-    except OverflowError as e:  # finite input numbers too large to compute with
-        sys.stderr.write(f"error: input numbers overflow: {e}\n")
+    except (OverflowError, MemoryError) as e:  # finite input numbers or sizes too large to compute with
+        sys.stderr.write(f"error: input too large: {type(e).__name__}: {e}\n")
         return EXIT_USAGE
     except GeowidthError as e:
         sys.stderr.write(f"error: {e}\n")

@@ -49,8 +49,8 @@ class FundamentalGraph:
         for e in self.edges:
             if e.src not in vs or e.tgt not in vs:
                 raise DomainError("edge endpoint not a graph vertex")
-            if e.length <= 0.0:
-                raise DomainError("edge lengths must be positive")
+            if not 0.0 < e.length < math.inf:  # NaN included
+                raise DomainError("edge lengths must be positive and finite")
             degree[e.src] += 1
             degree[e.tgt] += 1
             adj[e.src].add(e.tgt)

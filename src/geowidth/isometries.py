@@ -263,12 +263,12 @@ class TreeAutomorphism(Isometry):
 
     def apply(self, p: TreePoint) -> TreePoint:
         if p.edge is None:
-            return self.tree.vertex_point(self.permutation[p.vertex])
-        a, b, length = self.tree.edges[p.edge]
+            return TreePoint(vertex=self.permutation[p.vertex])
+        a, b, _ = self.tree.edges[p.edge]
         k = self.tree._edge_between(self.permutation[a], self.permutation[b])
-        ka, _, _ = self.tree.edges[k]
+        ka, _, length = self.tree.edges[k]  # within 1e-12 of p's edge length
         offset = p.offset if ka == self.permutation[a] else length - p.offset
-        return self.tree.edge_point(k, offset)
+        return self.tree._edge_point(k, min(max(offset, 0.0), length))
 
     def compose(self, other: "TreeAutomorphism") -> "TreeAutomorphism":
         return TreeAutomorphism._trusted(
@@ -305,7 +305,7 @@ class CayleyTranslation(Isometry):
         base = words.multiply(self.word, p.word)
         if p.letter == 0:
             return CayleyPoint(word=base)
-        return self.tree.edge_point(base, p.letter, p.t)
+        return self.tree._edge_point(base, p.letter, p.t)
 
     def compose(self, other: "CayleyTranslation") -> "CayleyTranslation":
         return CayleyTranslation._trusted(tree=self.tree, word=words.multiply(self.word, other.word))

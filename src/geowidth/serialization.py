@@ -8,7 +8,7 @@ file::
     {"graph": {"vertices": [...],
                "edges": [{"src", "tgt", "len", "label"}]},
      "images": {vertex: point},
-     "representation": representation}   (or "representation_file": path)
+     "representation": representation}
 """
 
 from __future__ import annotations
@@ -65,12 +65,7 @@ def map_to_json(u: EquivariantMap) -> dict:
 
 def map_from_json(data: dict, rho: Representation | None = None) -> EquivariantMap:
     if rho is None:
-        if "representation" in data:
-            rho = Representation.from_json(data["representation"])
-        elif "representation_file" in data:
-            rho = load_representation(data["representation_file"])
-        else:
-            raise DomainError("map file carries no representation")
+        rho = Representation.from_json(data["representation"])
     g = data["graph"]
     edges = [
         Edge(

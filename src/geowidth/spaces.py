@@ -19,8 +19,8 @@ plane and the Cayley tree, one search for two hyperbolic elements with no
 common fixed end).  An operation a model does not support raises
 ``CapabilityError``.  The two tree models are rooted (a finite tree at its
 first vertex, a Cayley tree at e) and share one distance, one geodesic walk
-along root paths and one local search; each supplies parents, heights,
-lowest common ancestors and the search candidates.
+along root paths and one local search; each supplies heights, lowest
+common ancestors and the search candidates.
 
 Points are checked once, where they enter.  The public ``dist`` and
 ``geodesic_point`` check their points (and t), then delegate to the
@@ -31,7 +31,9 @@ own callers (map measurement, homotopies, widths, relaxation, orbit
 distances).  The check is the model's ``_check_point``: ``validate_point``
 on the tree models and Euclidean space, type and shape only on the
 hyperbolic plane, whose isometry images drift off the sheet in the last
-digits.  The hyperbolic kernels and local solver run on Python floats,
+digits.  Tree points come from one trusted constructor per tree model,
+``_edge_point``; the public ``edge_point`` checks through ``validate_point``
+first.  The hyperbolic kernels and local solver run on Python floats,
 with numpy's operations in the same order; only the solver's 3-term dot
 and matrix-vector sums, taken left to right, may differ from numpy's.
 
@@ -491,15 +493,14 @@ class _TreeSpace(Space):
 
     Each model roots itself once.  A vertex is named by a key (a vertex
     index, or a reduced word) and has a parent and a height, its distance
-    to the root.  A subclass supplies ``_parent(w)``, ``_height(w)`` and
-    ``_lca(x, y)`` on vertex keys; ``_low(p)``, the lower endpoint of p's
-    edge (p's own vertex for a vertex) with p's height, so that p lies on that
-    vertex's root path; and ``_above(w, h, snap)``, the point of w's root
-    path at height h, where a vertex within ``snap`` is returned as the
-    vertex.  The geodesic p -> q climbs p's root path to the height where
+    to the root.  A subclass supplies ``_height(w)`` and ``_lca(x, y)`` on
+    vertex keys; ``_low(p)``, the lower endpoint of p's edge (p's own vertex
+    for a vertex) with p's height, so that p lies on that vertex's root
+    path; and ``_above(w, h, snap)``, the point of w's root path at height
+    h, where a vertex within ``snap`` is returned as the vertex.  The geodesic p -> q climbs p's root path to the height where
     it meets q's, then descends q's (Bridson & Haefliger II.1).
     ``_candidates(y0, point_terms, iso_terms)`` gives ``local_min``
-    vertices and edges (vertex pairs) to search.
+    vertex points and edges (pairs of vertex points) to search.
     """
 
     def _meet(self, p, q):
@@ -529,16 +530,6 @@ class _TreeSpace(Space):
             return self._above(x, hp - target, snap)
         return self._above(y, hq - (total - target), snap)
 
-    def _vertex_path(self, u, v) -> list:
-        """The vertices of the path u -> v."""
-        m = self._lca(u, v)
-        up, down = [u], [v]
-        while up[-1] != m:
-            up.append(self._parent(up[-1]))
-        while down[-1] != m:
-            down.append(self._parent(down[-1]))
-        return up + down[-2::-1]
-
     def _segment_min(self, a, b, f):
         """Best point on the geodesic [a, b] for objective f."""
         if self._dist(a, b) < 1e-15:
@@ -556,13 +547,12 @@ class _TreeSpace(Space):
 
         vertices, edges = self._candidates(y0, point_terms, iso_terms)
         best, best_val = y0, f(y0)
-        for v in vertices:
-            p = self.vertex_point(v)
+        for p in vertices:
             val = f(p)
             if val < best_val - 1e-15:
                 best, best_val = p, val
         for a, b in edges:
-            p, val = self._segment_min(self.vertex_point(a), self.vertex_point(b), f)
+            p, val = self._segment_min(a, b, f)
             if val < best_val - 1e-15:
                 best, best_val = p, val
         return best
@@ -589,8 +579,8 @@ class MetricTree(_TreeSpace):
         self.edges = []
         for e in edges:
             a, b, length = e
-            if length <= 0.0:
-                raise DomainError(f"edge {a}-{b} has non-positive length {length}")
+            if not 0.0 < length < math.inf:  # NaN included
+                raise DomainError(f"edge {a}-{b} has length {length}, not positive and finite")
             if a not in self._index or b not in self._index:
                 raise DomainError(f"edge {a}-{b} references unknown vertices")
             self.edges.append((a, b, float(length)))
@@ -617,7 +607,7 @@ class MetricTree(_TreeSpace):
         if len(order) != n:
             raise DomainError("tree is not connected")
         self._parents, self._pedges, self._levels, self._heights = parents, pedges, levels, heights
-        self._parent, self._height = parents.__getitem__, heights.__getitem__
+        self._height = heights.__getitem__
 
     @classmethod
     def from_json(cls, data: dict) -> "MetricTree":
@@ -647,16 +637,17 @@ class MetricTree(_TreeSpace):
     # point construction and canonicalization -------------------------------
 
     def vertex_point(self, v) -> TreePoint:
-        if v not in self._index:
-            raise InvalidPointError(f"unknown vertex {v!r}")
-        return TreePoint(vertex=v)
+        p = TreePoint(vertex=v)
+        self.validate_point(p)
+        return p
 
     def edge_point(self, edge: int, offset: float) -> TreePoint:
-        if not (0 <= edge < len(self.edges)):
-            raise InvalidPointError(f"unknown edge index {edge}")
+        self.validate_point(TreePoint(edge=edge, offset=offset))
+        return self._edge_point(edge, offset)
+
+    def _edge_point(self, edge: int, offset: float) -> TreePoint:
+        """The canonical point at a trusted offset in [0, length] of a trusted edge."""
         a, b, length = self.edges[edge]
-        if not (0.0 <= offset <= length):
-            raise DomainError(f"offset {offset} outside [0, {length}]")
         if offset == 0.0:
             return TreePoint(vertex=a)
         if offset == length:
@@ -673,7 +664,7 @@ class MetricTree(_TreeSpace):
             if not (0 <= p.edge < len(self.edges)):
                 raise InvalidPointError(f"unknown edge index {p.edge}")
             if not (0.0 <= p.offset <= self.edges[p.edge][2]):
-                raise DomainError("offset outside the edge")
+                raise DomainError(f"offset {p.offset} outside [0, {self.edges[p.edge][2]}]")
 
     # the rooted tree on vertex indices -------------------------------------
 
@@ -704,7 +695,7 @@ class MetricTree(_TreeSpace):
             if r > snap:
                 k = self._pedges[i]
                 ia, _, length = self._ends[k]
-                return self.edge_point(k, min(r, length) if ia == j else max(length - r, 0.0))
+                return self._edge_point(k, min(r, length) if ia == j else max(length - r, 0.0))
             i = j
         return TreePoint(vertex=self.vertices[i])
 
@@ -717,17 +708,14 @@ class MetricTree(_TreeSpace):
             return self._pedges[ib]
         return None
 
-    def total_length(self) -> float:
-        return sum(length for _, _, length in self.edges)
-
     def random_point(self, rng: np.random.Generator):
         k = int(rng.integers(0, len(self.edges)))
         offset = float(rng.uniform(0.0, self.edges[k][2]))
-        return self.edge_point(k, offset)
+        return self._edge_point(k, offset)
 
     def _candidates(self, y0, point_terms, iso_terms):
         """Every vertex and every edge."""
-        return self.vertices, [(a, b) for a, b, _ in self.edges]
+        return [TreePoint(v) for v in self.vertices], [(TreePoint(a), TreePoint(b)) for a, b, _ in self.edges]
 
     def check_not_boundary_fixing(self, rho) -> None:
         """A finite tree has no ideal boundary; only trivial images are refused."""
@@ -787,6 +775,11 @@ class CayleyTree(_TreeSpace):
         self.validate_point(CayleyPoint(word=w))
         if letter == 0 or abs(letter) > self.rank:
             raise InvalidPointError(f"invalid letter {letter}")
+        return self._edge_point(w, letter, t)
+
+    @staticmethod
+    def _edge_point(w: words.Word, letter: int, t: float) -> CayleyPoint:
+        """``edge_point`` on a trusted reduced word, letter and t in [0, 1]."""
         if t == 0.0:
             return CayleyPoint(word=w)
         if t == 1.0:
@@ -819,10 +812,6 @@ class CayleyTree(_TreeSpace):
     _height = staticmethod(len)
 
     @staticmethod
-    def _parent(w: words.Word) -> words.Word:
-        return w[:-1]
-
-    @staticmethod
     def _lca(u: words.Word, v: words.Word) -> words.Word:
         k = 0
         for x, y in zip(u, v):
@@ -847,22 +836,19 @@ class CayleyTree(_TreeSpace):
         return CayleyPoint(word=w[:j], letter=w[j], t=h - j)
 
     def random_point(self, rng: np.random.Generator):
-        k = int(rng.integers(0, self.RANDOM_WORD_CAP + 1))
-        letters = []
-        for _ in range(k):
+        def letter_after(w):
             while True:
                 x = int(rng.integers(1, self.rank + 1)) * (1 if rng.random() < 0.5 else -1)
-                if not letters or letters[-1] != -x:
-                    break
-            letters.append(x)
-        w = tuple(letters)
+                if not w or w[-1] != -x:
+                    return x
+
+        k = int(rng.integers(0, self.RANDOM_WORD_CAP + 1))
+        w = ()
+        for _ in range(k):
+            w += (letter_after(w),)
         if rng.random() < 0.5:
             return CayleyPoint(word=w)
-        while True:
-            x = int(rng.integers(1, self.rank + 1)) * (1 if rng.random() < 0.5 else -1)
-            if not w or w[-1] != -x:
-                break
-        return self.edge_point(w, x, float(rng.uniform(0.0, 1.0)))
+        return self._edge_point(w, letter_after(w), float(rng.uniform(0.0, 1.0)))
 
     def _candidates(self, y0, point_terms, iso_terms):
         """The subtree that y0 and the term targets span: its vertices and edges."""
@@ -871,20 +857,22 @@ class CayleyTree(_TreeSpace):
         for _, a in iso_terms:
             anchor_points.append(a.apply(y0))
             anchor_points.append(a.inverse().apply(y0))
-        anchor_vertices = set()  # the ends of each point's edge, nearer e first
+        anchors = set()  # the ends of each point's edge, nearer e first
         for p in anchor_points:
-            anchor_vertices.add(p.word)
+            anchors.add(p.word)
             if p.letter != 0:
-                anchor_vertices.add(p.word + (p.letter,))
-        # the subtree spanned by the anchors: vertices on all pairwise paths
-        verts = set(anchor_vertices)
-        anchors = list(anchor_vertices)
-        for i in range(len(anchors)):
-            for j in range(i + 1, len(anchors)):
-                verts.update(self._vertex_path(anchors[i], anchors[j]))
+                anchors.add(p.word + (p.letter,))
+        # the subtree spanned by the anchors: the paths from the first anchor to each other one,
+        # each walked up from the first anchor and then down; this insertion order orders the set
+        verts = set(anchors)
+        first, *others = anchors
+        for w in others:
+            m = len(self._lca(first, w))
+            verts.update(first[:k] for k in range(len(first), m - 1, -1))
+            verts.update(w[:k] for k in range(m + 1, len(w) + 1))
         # the edge from each vertex but e to its parent; the set's order decides ties
         edges = {(v[:-1], v[-1]) for v in verts if v}
-        return verts, [(w, w + (letter,)) for w, letter in edges]
+        return [CayleyPoint(v) for v in verts], [(CayleyPoint(w), CayleyPoint(w + (letter,))) for w, letter in edges]
 
     check_not_boundary_fixing = _check_no_common_fixed_end
 

@@ -309,6 +309,66 @@ class TestMalformedInput:
         assert "Traceback" not in err
 
 
+class TestExitCodes:
+    @pytest.mark.parametrize(
+        "rep, argv",
+        [
+            ("euclidean", ["estimate-cstar", "--trials", "3"]),
+            ("euclidean", ["conjugacy", "solve", "--alphabet", "1", "--a", "a", "--b", "a"]),
+            ("tripod", ["conjugacy", "solve", "--alphabet", "1", "--a", "a", "--b", "a"]),
+        ],
+        ids=["estimate-euclidean", "solve-euclidean", "solve-tripod"],
+    )
+    def test_unsupported_model_is_config_error(self, capsys, tmp_path, rep, argv):
+        tripod = MetricTree(["c", "p", "q", "r"], [("c", "p", 1.0), ("c", "q", 1.0), ("c", "r", 1.0)])
+        rho = {
+            "euclidean": Representation(EuclideanSpace(2), [EuclideanIsometry(np.eye(2), [1.0, 0.0])]),
+            "tripod": Representation(tripod, [TreeAutomorphism(tripod, {"c": "c", "p": "q", "q": "r", "r": "p"})]),
+        }[rep]
+        path = tmp_path / "rep.json"
+        save_representation(str(path), rho)
+        code, out, err = run(capsys, argv + ["--rep", str(path)])
+        assert (code, out) == (65, "")
+        assert "Traceback" not in err
+
+    def test_infinite_edge_length_is_usage_error(self, capsys, tmp_path):
+        u = map_to_json(build_bouquet_map(Representation.free_on_cayley_tree(2), CayleyTree(2).edge_point((1,), 2, 0.5)))
+        path = tmp_path / "u.json"
+        path.write_text(json.dumps(u).replace('"len": 1.0', '"len": 1e309', 1))
+        code, out, err = run(capsys, ["convexity", "--u", str(path), "--v", str(path), "--grid", "3"])
+        assert (code, out) == (64, "")
+        assert "positive and finite" in err
+
+    @pytest.mark.parametrize(
+        "name, argv",
+        [
+            ("homotopy_width_2_detailed", ["width", "--u", "U", "--v", "U", "--samples-per-edge", "1000000000000"]),
+            ("space_from_json", ["check-cat0", "--model", "euclidean", "--dim", "10000000000000"]),
+        ],
+        ids=["width-samples", "check-cat0-dim"],
+    )
+    def test_sizes_too_large_to_allocate_are_usage_errors(self, capsys, monkeypatch, hyp_map_files, name, argv):
+        # numpy raises MemoryError on such sizes; raised here without allocating
+        def too_large(*args):
+            raise MemoryError("Unable to allocate 7.28 TiB")
+
+        monkeypatch.setattr(f"geowidth.cli.{name}", too_large)
+        code, out, err = run(capsys, [hyp_map_files[0] if a == "U" else a for a in argv])
+        assert (code, out) == (64, "")
+        assert "MemoryError" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [["harmonic", "--map", "MAP"], ["width", "--u", "MAP", "--v", "MAP"]], ids=["harmonic", "width"])
+    def test_map_without_representation_is_config_error(self, capsys, tmp_path, hyp_map_files, argv):
+        with open(hyp_map_files[0]) as f:
+            u = json.load(f)
+        del u["representation"]
+        path = tmp_path / "u.json"
+        path.write_text(json.dumps(u))
+        code, out, err = run(capsys, [str(path) if a == "MAP" else a for a in argv])
+        assert (code, out) == (65, "")
+        assert "representation" in err
+
+
 class TestOrbitReport:
     def test_cayley_basepoint(self, capsys, free_rep_file):
         code, out, _ = run(

@@ -54,6 +54,11 @@ class TestGraph:
                 [0, 1], [Edge(0, 0, 1.0, (1,)), Edge(1, 1, 1.0, (2,))]
             )
 
+    @pytest.mark.parametrize("length", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_lengths_not_positive_and_finite(self, length):
+        with pytest.raises(DomainError, match="positive and finite"):
+            FundamentalGraph([0], [Edge(0, 0, 1.0, (1,)), Edge(0, 0, length, (2,))])
+
     def test_loop_counts_twice_for_degree(self):
         g = FundamentalGraph([0], [Edge(0, 0, 1.0, (1,))])
         assert g.total_length() == 1.0

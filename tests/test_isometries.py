@@ -12,8 +12,8 @@ from geowidth.isometries import (
     TreeAutomorphism,
     orbit_distance,
 )
-from geowidth.spaces import CayleyTree, EuclideanSpace, HyperbolicPlane, MetricTree
-from geowidth.words import enumerate_ball, parse_word
+from geowidth.spaces import CayleyPoint, CayleyTree, EuclideanSpace, HyperbolicPlane, MetricTree
+from geowidth.words import enumerate_ball, multiply, parse_word
 
 from conftest import parabolic_rep, readme_rep
 
@@ -185,6 +185,17 @@ class TestTreeAutomorphism:
             p = tree.edge_point(0, 0.25)
             assert g.apply(p) == checked.apply(p)
 
+    def test_offset_measured_on_the_image_edge(self):
+        # lengths within the constructor's 1e-12: the offset is measured on the image edge and stays on it
+        tree = MetricTree(["c", "p", "q"], [("c", "p", 1.0), ("c", "q", 1.0 + 5e-13)])
+        swap = TreeAutomorphism(tree, {"c": "c", "p": "q", "q": "p"})
+        assert swap.apply(tree.edge_point(1, 1.0 + 4e-13)) == tree.vertex_point("p")
+        assert swap.apply(tree.edge_point(0, 0.75)) == tree.edge_point(1, 0.75)
+        flip = MetricTree(["p", "c", "q"], [("p", "c", 1.0), ("c", "q", 1.0 + 5e-13)])
+        g = TreeAutomorphism(flip, {"c": "c", "p": "q", "q": "p"})
+        assert g.apply(flip.edge_point(1, 1.0 + 4e-13)) == flip.vertex_point("p")  # offset 1 - (1 + 4e-13) < 0
+        assert g.apply(flip.edge_point(1, 0.25)) == flip.edge_point(0, 0.75)
+
     def test_length_incompatible_rejected(self):
         tree = MetricTree(["c", "p", "q"], [("c", "p", 1.0), ("c", "q", 2.0)])
         with pytest.raises(DomainError):
@@ -348,3 +359,45 @@ def readme_integer_product(w):
         m = [[m[i][0] * n[0][j] + m[i][1] * n[1][j] for j in range(2)] for i in range(2)]
     sign = -1 if next(x for x in m[0] + m[1] if x) < 0 else 1
     return [[sign * x for x in row] for row in m]
+
+
+def checked_tree_apply(g, p):
+    """TreeAutomorphism.apply as it was, through the public vertex_point and edge_point."""
+    if p.edge is None:
+        return g.tree.vertex_point(g.permutation[p.vertex])
+    a, b, length = g.tree.edges[p.edge]
+    k = g.tree._edge_between(g.permutation[a], g.permutation[b])
+    ka, _, _ = g.tree.edges[k]
+    offset = p.offset if ka == g.permutation[a] else length - p.offset
+    return g.tree.edge_point(k, offset)
+
+
+def checked_cayley_apply(g, p):
+    """CayleyTranslation.apply as it was, through the public edge_point."""
+    base = multiply(g.word, p.word)
+    if p.letter == 0:
+        return CayleyPoint(word=base)
+    return g.tree.edge_point(base, p.letter, p.t)
+
+
+class TestTrustedApply:
+    def isometries(self):
+        tripod = MetricTree(["c", "p", "q", "r"], [("c", "p", 1.0), ("r", "c", 1.0), ("c", "q", 1.0)])
+        path = MetricTree(list(range(7)), [(i, i + 1, 0.5 + 0.25 * min(i, 5 - i)) for i in range(6)])
+        out = [
+            TreeAutomorphism(tripod, {"c": "c", "p": "q", "q": "r", "r": "p"}),
+            TreeAutomorphism(tripod, {"c": "c", "p": "r", "q": "q", "r": "p"}),
+            TreeAutomorphism(path, {i: 6 - i for i in range(7)}),
+        ]
+        for rank in (1, 2, 3):
+            tree = CayleyTree(rank)
+            out += [CayleyTranslation(tree, w) for w in enumerate_ball(rank, 2)]
+        return out
+
+    def test_apply_matches_the_checked_path(self):
+        rng = np.random.default_rng(59)
+        for g in self.isometries():
+            checked = checked_tree_apply if isinstance(g, TreeAutomorphism) else checked_cayley_apply
+            for _ in range(300):
+                p = g.tree.random_point(rng)
+                assert g.apply(p) == checked(g, p)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from geowidth.equivariant import Edge, EquivariantMap, FundamentalGraph, build_bouquet_map
-from geowidth.errors import DomainError
+from geowidth.errors import ConfigError, DomainError
 from geowidth.isometries import (
     EuclideanIsometry,
     HyperbolicIsometry,
@@ -103,13 +103,18 @@ class TestMapFiles:
         for w in graph.vertices:
             assert space.dist(u.images[w], v.images[w]) <= 1e-12
 
-    def test_missing_representation(self):
+    def test_missing_representation(self, tmp_path):
+        # a missing field, like any other: a KeyError that load_map reports as malformed input
         rho = Representation.free_on_cayley_tree(2)
         u = build_bouquet_map(rho, rho.space.vertex_point(()))
         data = map_to_json(u)
         del data["representation"]
-        with pytest.raises(DomainError):
+        with pytest.raises(KeyError):
             map_from_json(data)
+        path = tmp_path / "map.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ConfigError, match="KeyError: 'representation'"):
+            load_map(str(path))
 
     def test_shared_representation_override(self, tmp_path):
         rho = Representation.free_on_cayley_tree(2)

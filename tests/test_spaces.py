@@ -5,7 +5,7 @@ import pytest
 
 from geowidth.equivariant import build_bouquet_map
 from geowidth.errors import DomainError, InvalidPointError, ModelMismatchError
-from geowidth.isometries import HyperbolicIsometry
+from geowidth.isometries import CayleyTranslation, HyperbolicIsometry, TreeAutomorphism
 from geowidth.spaces import (
     CayleyPoint,
     CayleyTree,
@@ -439,6 +439,11 @@ class TestConstruction:
         with pytest.raises(DomainError):
             MetricTree([0, 1], [(0, 1, 0.0)])
 
+    @pytest.mark.parametrize("length", [math.nan, math.inf])
+    def test_tree_finite_lengths(self, length):
+        with pytest.raises(DomainError, match="not positive and finite"):
+            MetricTree([0, 1, 2], [(0, 1, 1.0), (1, 2, length)])
+
     def test_tree_needs_an_edge(self):
         with pytest.raises(DomainError):
             MetricTree([0], [])
@@ -499,3 +504,134 @@ class TestHyperbolicLocalMin:
             y0 = hyperbolic.random_point(np.random.default_rng(k))
             y = hyperbolic.local_min(y0, [], loop)
             assert hyperbolic.local_value(y, [], loop) <= hyperbolic.local_value(y0, [], loop)
+
+
+# Reference builders: tree points as they were made before the trusted constructors, each through the public,
+# checking edge_point.
+
+
+def checked_metric_above(tree, i, h, snap):
+    parents, heights = tree._parents, tree._heights
+    while heights[i] - h > snap:
+        j = parents[i]
+        r = h - heights[j]
+        if r > snap:
+            k = tree._pedges[i]
+            ia, _, length = tree._ends[k]
+            return tree.edge_point(k, min(r, length) if ia == j else max(length - r, 0.0))
+        i = j
+    return TreePoint(vertex=tree.vertices[i])
+
+
+def checked_metric_random_point(tree, rng):
+    k = int(rng.integers(0, len(tree.edges)))
+    offset = float(rng.uniform(0.0, tree.edges[k][2]))
+    return tree.edge_point(k, offset)
+
+
+def checked_cayley_random_point(tree, rng):
+    k = int(rng.integers(0, tree.RANDOM_WORD_CAP + 1))
+    letters = []
+    for _ in range(k):
+        while True:
+            x = int(rng.integers(1, tree.rank + 1)) * (1 if rng.random() < 0.5 else -1)
+            if not letters or letters[-1] != -x:
+                break
+        letters.append(x)
+    w = tuple(letters)
+    if rng.random() < 0.5:
+        return CayleyPoint(word=w)
+    while True:
+        x = int(rng.integers(1, tree.rank + 1)) * (1 if rng.random() < 0.5 else -1)
+        if not w or w[-1] != -x:
+            break
+    return tree.edge_point(w, x, float(rng.uniform(0.0, 1.0)))
+
+
+def word_path(u, v):
+    """The vertices of the Cayley tree path u -> v."""
+    m = CayleyTree._lca(u, v)
+    up, down = [u], [v]
+    while up[-1] != m:
+        up.append(up[-1][:-1])
+    while down[-1] != m:
+        down.append(down[-1][:-1])
+    return up + down[-2::-1]
+
+
+def all_pairs_candidates(y0, point_terms, iso_terms):
+    """The Cayley local search's vertex words and edges (word pairs), from the paths between all anchor pairs."""
+    anchor_points = [y0] + [p for _, p in point_terms]
+    for _, a in iso_terms:
+        anchor_points.append(a.apply(y0))
+        anchor_points.append(a.inverse().apply(y0))
+    anchor_vertices = set()
+    for p in anchor_points:
+        anchor_vertices.add(p.word)
+        if p.letter != 0:
+            anchor_vertices.add(p.word + (p.letter,))
+    verts = set(anchor_vertices)
+    anchors = list(anchor_vertices)
+    for i in range(len(anchors)):
+        for j in range(i + 1, len(anchors)):
+            verts.update(word_path(anchors[i], anchors[j]))
+    edges = {(v[:-1], v[-1]) for v in verts if v}
+    return list(verts), [(w, w + (letter,)) for w, letter in edges]
+
+
+TREE_MODELS = [name for name, space in all_model_spaces().items() if isinstance(space, (MetricTree, CayleyTree))]
+
+
+class TestTrustedTreePoints:
+    """The trusted builders give the points that the checking edge_point gave, and check nothing."""
+
+    @pytest.mark.parametrize("name", TREE_MODELS + ["cayley1", "cayley3"])
+    def test_random_points_match_the_checked_path(self, name):
+        space = {"cayley1": CayleyTree(1), "cayley3": CayleyTree(3)}.get(name) or all_model_spaces()[name]
+        checked = checked_cayley_random_point if isinstance(space, CayleyTree) else checked_metric_random_point
+        rng, reference = np.random.default_rng(41), np.random.default_rng(41)
+        for _ in range(2000):
+            assert space.random_point(rng) == checked(space, reference)
+
+    @pytest.mark.parametrize("name", ["tripod", "caterpillar", "deep-tree", "recursive"])
+    def test_tree_geodesic_points_match_the_checked_path(self, name, monkeypatch):
+        tree = recursive_tree(500, 8, 5)[0] if name == "recursive" else all_model_spaces()[name]
+        rng = np.random.default_rng(43)
+        triples = [(tree.random_point(rng), tree.random_point(rng), float(rng.uniform())) for _ in range(2000)]
+        triples += [(p, q, t) for p, q, _ in triples[:200] for t in (0.5, math.nextafter(1.0, 0.0))]
+        got = [tree.geodesic_point(p, q, t) for p, q, t in triples]
+        monkeypatch.setattr(tree, "_above", lambda i, h, snap: checked_metric_above(tree, i, h, snap))
+        assert got == [tree.geodesic_point(p, q, t) for p, q, t in triples]
+
+    def test_cayley_candidates_match_all_pairs_paths(self):
+        rng = np.random.default_rng(47)
+        for k in range(1200):
+            space = CayleyTree(2 + k % 2)
+            y0 = space.random_point(rng)
+            point_terms = [(1.0, space.random_point(rng)) for _ in range(int(rng.integers(0, 5)))]
+            iso_terms = [(1.0, CayleyTranslation(space, space.random_point(rng).word)) for _ in range(int(rng.integers(0, 4)))]
+            verts, edges = space._candidates(y0, point_terms, iso_terms)
+            # the same sets, and the same iteration order: the local search's ties go to the first
+            assert ([p.word for p in verts], [(a.word, b.word) for a, b in edges]) == all_pairs_candidates(
+                y0, point_terms, iso_terms
+            )
+
+    @pytest.mark.parametrize("name", TREE_MODELS)
+    def test_builders_call_no_point_check(self, name, monkeypatch):
+        space = all_model_spaces()[name]
+        rng = np.random.default_rng(53)
+        if isinstance(space, CayleyTree):
+            g = CayleyTranslation(space, (1, 2, -1))
+        else:  # the identity, which every tree has
+            g = TreeAutomorphism(space, {v: v for v in space.vertices})
+        points = [space.random_point(rng) for _ in range(40)]
+        calls = []
+        for check in ("validate_point", "edge_point", "vertex_point"):
+            monkeypatch.setattr(space, check, lambda *args, check=check: calls.append(check))
+        for p, q in zip(points, points[1:]):
+            space._geodesic_point(p, q, float(rng.uniform()))
+            g.apply(p)
+            space.random_point(rng)
+        for p, q in zip(points[:4], points[1:5]):  # a finite tree's search visits every vertex and edge
+            space.local_min(p, [(1.0, q)], [(0.5, g)])
+        assert calls == []
