@@ -17,8 +17,8 @@ echo, writes the report and maps errors to exit codes.
 
 Exit codes: 0 success / conjugate; 2 property violation; 3 not conjugate;
 4 not conjugate up to the searched radius; 64 usage error (a number or size
-out of range included); 65 bad config (an operation the model does not
-support included); 66 failed precondition; 70 internal error.
+out of range and an unreadable input path included); 65 bad config (an
+operation the model does not support included); 66 failed precondition; 70 internal error.
 """
 
 from __future__ import annotations
@@ -317,7 +317,7 @@ def main(argv=None) -> int:
     except PreconditionError as e:
         sys.stderr.write(f"precondition failed: {e}\n")
         return EXIT_PRECONDITION
-    except (DomainError, AlphabetMismatchError, FileNotFoundError) as e:
+    except (DomainError, AlphabetMismatchError, OSError) as e:  # OSError: an input path that cannot be read
         sys.stderr.write(f"error: {e}\n")
         return EXIT_USAGE
     except (OverflowError, MemoryError) as e:  # finite input numbers or sizes too large to compute with

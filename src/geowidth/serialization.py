@@ -30,7 +30,8 @@ def malformed_input(source: str):
     except DomainError:  # a value out of range keeps its own exit code
         raise
     except (
-        AttributeError, KeyError, TypeError, ValueError, AlphabetMismatchError, InvalidPointError, ModelMismatchError
+        AttributeError, KeyError, TypeError, ValueError, AlphabetMismatchError, InvalidPointError, ModelMismatchError,
+        RecursionError,  # JSON nested too deep to parse
     ) as e:
         raise ConfigError(f"malformed input {source}: {type(e).__name__}: {e}") from e
 

@@ -19,8 +19,8 @@ plane and the Cayley tree, one search for two hyperbolic elements with no
 common fixed end).  An operation a model does not support raises
 ``CapabilityError``.  The two tree models are rooted (a finite tree at its
 first vertex, a Cayley tree at e) and share one distance, one geodesic walk
-along root paths and one local search; each supplies heights, lowest
-common ancestors and the search candidates.
+along root paths and one relaxation minimiser, a descent walk; each supplies
+heights, lowest common ancestors and the neighbours of a point.
 
 Points are checked once, where they enter.  The public ``dist`` and
 ``geodesic_point`` check their points (and t), then delegate to the
@@ -56,6 +56,7 @@ Defects are signed: nonnegative means the inequality holds.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -69,7 +70,7 @@ TOL = 1e-9
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # golden-section step ratio
 
-INNER_TOLERANCE = 1e-12  # local_min: least relative decrease; golden-section bracket
+INNER_TOLERANCE = 1e-12  # hyperbolic local_min: least relative decrease
 ARMIJO_BACKTRACK = 0.5  # step shrink factor of the hyperbolic line search
 ARMIJO_SLOPE = 1e-4  # sufficient-decrease constant of that line search
 MAX_INNER_ITERATIONS = 500  # gradient steps per hyperbolic update
@@ -489,18 +490,19 @@ class HyperbolicPlane(Space):
 
 
 class _TreeSpace(Space):
-    """The distance, geodesic walk and local search that the two tree models share.
+    """The distance, geodesic walk and descent walk that the two tree models share.
 
     Each model roots itself once.  A vertex is named by a key (a vertex
     index, or a reduced word) and has a parent and a height, its distance
     to the root.  A subclass supplies ``_height(w)`` and ``_lca(x, y)`` on
     vertex keys; ``_low(p)``, the lower endpoint of p's edge (p's own vertex
     for a vertex) with p's height, so that p lies on that vertex's root
-    path; and ``_above(w, h, snap)``, the point of w's root path at height
-    h, where a vertex within ``snap`` is returned as the vertex.  The geodesic p -> q climbs p's root path to the height where
-    it meets q's, then descends q's (Bridson & Haefliger II.1).
-    ``_candidates(y0, point_terms, iso_terms)`` gives ``local_min``
-    vertex points and edges (pairs of vertex points) to search.
+    path; ``_above(w, h, snap)``, the point of w's root path at height h,
+    where a vertex within ``snap`` is returned as the vertex; and
+    ``_neighbours(p)``, the vertices next to a vertex or the two ends of an
+    interior point's edge, in a fixed order.  The geodesic p -> q climbs p's
+    root path to the height where it meets q's, then descends q's (Bridson &
+    Haefliger II.1).
     """
 
     def _meet(self, p, q):
@@ -530,32 +532,45 @@ class _TreeSpace(Space):
             return self._above(x, hp - target, snap)
         return self._above(y, hq - (total - target), snap)
 
-    def _segment_min(self, a, b, f):
-        """Best point on the geodesic [a, b] for objective f."""
-        if self._dist(a, b) < 1e-15:
-            return a, f(a)
-        s = golden_section(lambda s: f(self._geodesic_point(a, b, s)), 0.0, 1.0, INNER_TOLERANCE)
-        candidates = [a, self._geodesic_point(a, b, s), b]
-        vals = [f(p) for p in candidates]
-        i = int(np.argmin(vals))
-        return candidates[i], vals[i]
-
     def local_min(self, y0, point_terms, iso_terms):
-        """Convex search over the candidate vertices, then edges; ties go to the first."""
-        def f(y):
-            return self.local_value(y, point_terms, iso_terms)
+        """Walk downhill from y0 vertex to vertex, then minimise exactly on each edge out of where it stopped.
 
-        vertices, edges = self._candidates(y0, point_terms, iso_terms)
-        best, best_val = y0, f(y0)
-        for p in vertices:
-            val = f(p)
-            if val < best_val - 1e-15:
-                best, best_val = p, val
-        for a, b in edges:
-            p, val = self._segment_min(a, b, f)
-            if val < best_val - 1e-15:
-                best, best_val = p, val
-        return best
+        F is convex along geodesics: a minimiser beyond a neighbour q of the stop point would make F(q)
+        lower, and the walk would have gone on.  Ties go to the stop point, then to the first neighbour."""
+        f = functools.partial(self.local_value, point_terms=point_terms, iso_terms=iso_terms)
+        y, fy = y0, f(y0)
+        while True:
+            around = self._neighbours(y)
+            fq, q = min(zip(map(f, around), around), key=lambda e: e[0])  # the first on ties
+            if fq >= fy:
+                return min([y] + [self._edge_min(y, x, point_terms, iso_terms) for x in around], key=f)
+            y, fy = q, fq
+
+    def _edge_min(self, p, q, point_terms, iso_terms):
+        """The exact minimiser of F on the geodesic p -> q.
+
+        At arclength s from p a term's distance is m + k d(s, [lo, hi]), m its least value on the edge: k = 1
+        and lo = hi for a point term, k = 2 for a loop term d(y, A y).  F is a convex piecewise quadratic."""
+        dist, n = self._dist, self._dist(p, q)
+        if n == 0.0:  # an interior p that rounds onto its edge's end q
+            return p
+        term_dists = [(w, 1.0, lambda y, x=x: dist(y, x)) for w, x in point_terms]
+        term_dists += [(w, 2.0, lambda y, a=a: dist(y, a.apply(y))) for w, a in iso_terms]
+        terms = []  # (w, k, lo, hi, m)
+        for w, k, d in term_dists:
+            d0, d1 = d(p), d(q)
+            # the value at c = (d0 - d1 + k n) / 2k, where the term is least: the middle of [lo, hi]
+            m = d(self._geodesic_point(p, q, min(max(0.5 * (d0 - d1) / (k * n) + 0.5, 0.0), 1.0)))
+            terms.append((w, k, (d0 - m) / k, n - (d1 - m) / k, m))
+        kinks = sorted({0.0, n} | {s for *_, lo, hi, _ in terms for s in (lo, hi) if 0.0 < s < n})
+        for s0, s1 in zip(kinks, kinks[1:]):  # on [s0, s1] F is the sum of w (a s + b)^2
+            mid, aa, ab = 0.5 * (s0 + s1), 0.0, 0.0
+            for w, k, lo, hi, m in terms:
+                a, b = (-k, m + k * lo) if mid < lo else (k, m - k * hi) if mid > hi else (0.0, m)
+                aa, ab = aa + w * a * a, ab + w * a * b
+            if aa * s1 + ab >= 0.0:  # F' >= 0 at s1, and F is convex: its least value is on [s0, s1]
+                return self._geodesic_point(p, q, (min(max(-ab / aa, s0), s1) if aa > 0.0 else s0) / n)
+        return q
 
 
 class MetricTree(_TreeSpace):
@@ -606,7 +621,7 @@ class MetricTree(_TreeSpace):
                     order.append(w)
         if len(order) != n:
             raise DomainError("tree is not connected")
-        self._parents, self._pedges, self._levels, self._heights = parents, pedges, levels, heights
+        self._adj, self._parents, self._pedges, self._levels, self._heights = adj, parents, pedges, levels, heights
         self._height = heights.__getitem__
 
     @classmethod
@@ -713,9 +728,11 @@ class MetricTree(_TreeSpace):
         offset = float(rng.uniform(0.0, self.edges[k][2]))
         return self._edge_point(k, offset)
 
-    def _candidates(self, y0, point_terms, iso_terms):
-        """Every vertex and every edge."""
-        return [TreePoint(v) for v in self.vertices], [(TreePoint(a), TreePoint(b)) for a, b, _ in self.edges]
+    def _neighbours(self, p: TreePoint) -> list:
+        if p.edge is None:
+            return [TreePoint(vertex=self.vertices[j]) for _, j in self._adj[self._index[p.vertex]]]
+        a, b, _ = self.edges[p.edge]
+        return [TreePoint(vertex=a), TreePoint(vertex=b)]
 
     def check_not_boundary_fixing(self, rho) -> None:
         """A finite tree has no ideal boundary; only trivial images are refused."""
@@ -850,29 +867,11 @@ class CayleyTree(_TreeSpace):
             return CayleyPoint(word=w)
         return self._edge_point(w, letter_after(w), float(rng.uniform(0.0, 1.0)))
 
-    def _candidates(self, y0, point_terms, iso_terms):
-        """The subtree that y0 and the term targets span: its vertices and edges."""
-        # anchors: the current point and every term target (isometry images both ways)
-        anchor_points = [y0] + [p for _, p in point_terms]
-        for _, a in iso_terms:
-            anchor_points.append(a.apply(y0))
-            anchor_points.append(a.inverse().apply(y0))
-        anchors = set()  # the ends of each point's edge, nearer e first
-        for p in anchor_points:
-            anchors.add(p.word)
-            if p.letter != 0:
-                anchors.add(p.word + (p.letter,))
-        # the subtree spanned by the anchors: the paths from the first anchor to each other one,
-        # each walked up from the first anchor and then down; this insertion order orders the set
-        verts = set(anchors)
-        first, *others = anchors
-        for w in others:
-            m = len(self._lca(first, w))
-            verts.update(first[:k] for k in range(len(first), m - 1, -1))
-            verts.update(w[:k] for k in range(m + 1, len(w) + 1))
-        # the edge from each vertex but e to its parent; the set's order decides ties
-        edges = {(v[:-1], v[-1]) for v in verts if v}
-        return [CayleyPoint(v) for v in verts], [(CayleyPoint(w), CayleyPoint(w + (letter,))) for w, letter in edges]
+    def _neighbours(self, p: CayleyPoint) -> list:
+        """A vertex w's neighbours are w a, w A, w b, w B, ... in that order."""
+        if p.letter != 0:
+            return [CayleyPoint(word=p.word), CayleyPoint(word=p.word + (p.letter,))]
+        return [CayleyPoint(word=words.multiply(p.word, (x,))) for i in range(1, self.rank + 1) for x in (i, -i)]
 
     check_not_boundary_fixing = _check_no_common_fixed_end
 

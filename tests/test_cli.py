@@ -357,6 +357,24 @@ class TestExitCodes:
         assert (code, out) == (64, "")
         assert "MemoryError" in err and "Traceback" not in err
 
+    def test_directory_for_an_input_file_is_usage_error(self, capsys, tmp_path):
+        code, out, err = run(capsys, ["estimate-cstar", "--rep", str(tmp_path), "--trials", "3"])
+        assert (code, out) == (64, "")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("entry", ["rep", "basepoint"])
+    def test_json_nested_too_deep_is_config_error(self, capsys, tmp_path, free_rep_file, entry):
+        text = "[" * 100_000 + "]" * 100_000
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        argv = {
+            "rep": ["estimate-cstar", "--rep", str(path), "--trials", "3"],
+            "basepoint": ["orbit-report", "--rep", free_rep_file, "--a", "ab", "--b", "ba", "--basepoint", text],
+        }[entry]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (65, "")
+        assert "RecursionError" in err
+
     @pytest.mark.parametrize("argv", [["harmonic", "--map", "MAP"], ["width", "--u", "MAP", "--v", "MAP"]], ids=["harmonic", "width"])
     def test_map_without_representation_is_config_error(self, capsys, tmp_path, hyp_map_files, argv):
         with open(hyp_map_files[0]) as f:

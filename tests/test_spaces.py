@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geowidth.equivariant import build_bouquet_map
 from geowidth.errors import DomainError, InvalidPointError, ModelMismatchError
 from geowidth.isometries import CayleyTranslation, HyperbolicIsometry, TreeAutomorphism
 from geowidth.spaces import (
+    INNER_TOLERANCE,
     CayleyPoint,
     CayleyTree,
     EuclideanSpace,
@@ -14,12 +17,13 @@ from geowidth.spaces import (
     MetricTree,
     TreePoint,
     convexity_defect,
+    golden_section,
     project_to_segment,
     quadrilateral_defect,
     triangle_defect,
 )
 
-from conftest import all_model_spaces, readme_rep
+from conftest import all_model_spaces, deep_tree, readme_rep
 
 
 def _edge_ends(tree: MetricTree, x: TreePoint):
@@ -548,37 +552,6 @@ def checked_cayley_random_point(tree, rng):
     return tree.edge_point(w, x, float(rng.uniform(0.0, 1.0)))
 
 
-def word_path(u, v):
-    """The vertices of the Cayley tree path u -> v."""
-    m = CayleyTree._lca(u, v)
-    up, down = [u], [v]
-    while up[-1] != m:
-        up.append(up[-1][:-1])
-    while down[-1] != m:
-        down.append(down[-1][:-1])
-    return up + down[-2::-1]
-
-
-def all_pairs_candidates(y0, point_terms, iso_terms):
-    """The Cayley local search's vertex words and edges (word pairs), from the paths between all anchor pairs."""
-    anchor_points = [y0] + [p for _, p in point_terms]
-    for _, a in iso_terms:
-        anchor_points.append(a.apply(y0))
-        anchor_points.append(a.inverse().apply(y0))
-    anchor_vertices = set()
-    for p in anchor_points:
-        anchor_vertices.add(p.word)
-        if p.letter != 0:
-            anchor_vertices.add(p.word + (p.letter,))
-    verts = set(anchor_vertices)
-    anchors = list(anchor_vertices)
-    for i in range(len(anchors)):
-        for j in range(i + 1, len(anchors)):
-            verts.update(word_path(anchors[i], anchors[j]))
-    edges = {(v[:-1], v[-1]) for v in verts if v}
-    return list(verts), [(w, w + (letter,)) for w, letter in edges]
-
-
 TREE_MODELS = [name for name, space in all_model_spaces().items() if isinstance(space, (MetricTree, CayleyTree))]
 
 
@@ -603,19 +576,6 @@ class TestTrustedTreePoints:
         monkeypatch.setattr(tree, "_above", lambda i, h, snap: checked_metric_above(tree, i, h, snap))
         assert got == [tree.geodesic_point(p, q, t) for p, q, t in triples]
 
-    def test_cayley_candidates_match_all_pairs_paths(self):
-        rng = np.random.default_rng(47)
-        for k in range(1200):
-            space = CayleyTree(2 + k % 2)
-            y0 = space.random_point(rng)
-            point_terms = [(1.0, space.random_point(rng)) for _ in range(int(rng.integers(0, 5)))]
-            iso_terms = [(1.0, CayleyTranslation(space, space.random_point(rng).word)) for _ in range(int(rng.integers(0, 4)))]
-            verts, edges = space._candidates(y0, point_terms, iso_terms)
-            # the same sets, and the same iteration order: the local search's ties go to the first
-            assert ([p.word for p in verts], [(a.word, b.word) for a, b in edges]) == all_pairs_candidates(
-                y0, point_terms, iso_terms
-            )
-
     @pytest.mark.parametrize("name", TREE_MODELS)
     def test_builders_call_no_point_check(self, name, monkeypatch):
         space = all_model_spaces()[name]
@@ -632,6 +592,133 @@ class TestTrustedTreePoints:
             space._geodesic_point(p, q, float(rng.uniform()))
             g.apply(p)
             space.random_point(rng)
-        for p, q in zip(points[:4], points[1:5]):  # a finite tree's search visits every vertex and edge
+        for p, q in zip(points[:4], points[1:5]):  # the walk and its exact edge step build points too
             space.local_min(p, [(1.0, q)], [(0.5, g)])
         assert calls == []
+
+
+# Reference local search: the candidate scan and golden section that the descent walk replaced.
+
+
+def reference_segment_min(space, a, b, f):
+    """The least of f at a, at the golden-section argmin on [a, b], and at b."""
+    if space._dist(a, b) < 1e-15:
+        return f(a)
+    s = golden_section(lambda s: f(space._geodesic_point(a, b, s)), 0.0, 1.0, INNER_TOLERANCE)
+    return min(f(a), f(space._geodesic_point(a, b, s)), f(b))
+
+
+def reference_local_value(space, y0, point_terms, iso_terms):
+    """The least objective over y0, the candidate vertices and a golden-section search of each candidate edge.
+
+    The candidates are every vertex and edge of a finite tree, and on a Cayley tree the subtree that y0 and the
+    term targets (isometry images both ways) span."""
+    def f(y):
+        return space.local_value(y, point_terms, iso_terms)
+
+    if isinstance(space, MetricTree):
+        vertices = [TreePoint(v) for v in space.vertices]
+        edges = [(TreePoint(a), TreePoint(b)) for a, b, _ in space.edges]
+    else:
+        anchors = [y0] + [p for _, p in point_terms] + [b.apply(y0) for _, a in iso_terms for b in (a, a.inverse())]
+        ends = {p.word for p in anchors} | {p.word + (p.letter,) for p in anchors if p.letter}
+        first, spanned = next(iter(ends)), set()
+        for w in ends:  # the path first -> w
+            m = len(CayleyTree._lca(first, w))
+            spanned.update([first[:k] for k in range(m, len(first) + 1)] + [w[:k] for k in range(m, len(w) + 1)])
+        vertices = [CayleyPoint(w) for w in spanned]
+        edges = [(CayleyPoint(w[:-1]), CayleyPoint(w)) for w in spanned if w]
+    return min([f(y0)] + [f(p) for p in vertices] + [reference_segment_min(space, a, b, f) for a, b in edges])
+
+
+def _tree_flip(space, rng):
+    # swaps the ends of edge u-v, fixing only its midpoint
+    return TreeAutomorphism(space, {"u": "v", "v": "u", "u1": "v1", "v1": "u1", "u2": "v2", "v2": "u2"})
+
+
+def _tripod_swap(space, rng):
+    return TreeAutomorphism(space, {"c": "c", "p": "q", "q": "p", "r": "r"})
+
+
+def _cayley_translation(space, rng):
+    return CayleyTranslation(space, space.random_point(rng).word)
+
+
+# (space, a seeded loop isometry or None)
+LOCAL_MIN_MODELS = {
+    "tripod": (all_model_spaces()["tripod"], _tripod_swap),
+    "caterpillar": (all_model_spaces()["caterpillar"], None),
+    "dumbbell": (
+        MetricTree(
+            ["u", "v", "u1", "u2", "v1", "v2"],
+            [("u", "v", 2.0), ("u", "u1", 1.0), ("v", "v1", 1.0), ("u", "u2", 0.5), ("v", "v2", 0.5)],
+        ),
+        _tree_flip,
+    ),
+    "deep-tree": (deep_tree(), None),
+    "cayley2": (CayleyTree(2), _cayley_translation),
+    "cayley3": (CayleyTree(3), _cayley_translation),
+}
+
+
+def local_min_instance(name, rng, k):
+    """(space, y0, point_terms, iso_terms), seeded; every fourth instance with a loop isometry has it as its one term,
+    so the walk stops beside the flip's fixed midpoint or the translation's axis."""
+    space, loop = LOCAL_MIN_MODELS[name]
+    y0 = space.random_point(rng)
+    if loop and k % 4 == 0:
+        return space, y0, [], [(1.0, loop(space, rng))]
+    point_terms = [(float(rng.uniform(0.1, 2.0)), space.random_point(rng)) for _ in range(int(rng.integers(1, 4)))]
+    iso_terms = [(float(rng.uniform(0.1, 2.0)), loop(space, rng)) for _ in range(int(rng.integers(0, 3)) if loop else 0)]
+    return space, y0, point_terms, iso_terms
+
+
+class TestTreeLocalMin:
+    """The descent walk against the candidate scan it replaced, and the walk's own guarantees."""
+
+    # 1,003 instances; a Cayley reference takes about 20 ms, and the deep tree's scans all 299 edges in 0.25 s
+    @pytest.mark.parametrize(
+        "name, count",
+        [("tripod", 400), ("caterpillar", 250), ("dumbbell", 250), ("cayley2", 50), ("cayley3", 50), ("deep-tree", 3)],
+    )
+    def test_never_worse_than_the_candidate_scan(self, name, count):
+        rng = np.random.default_rng(59)
+        for k in range(count):
+            space, y0, point_terms, iso_terms = local_min_instance(name, rng, k)
+            value = space.local_value(space.local_min(y0, point_terms, iso_terms), point_terms, iso_terms)
+            reference = reference_local_value(space, y0, point_terms, iso_terms)
+            assert value <= reference + 1e-12 * max(1.0, value), (name, k)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), name=st.sampled_from(list(LOCAL_MIN_MODELS)))
+    def test_no_edge_out_of_the_result_descends(self, seed, name):
+        space, y0, point_terms, iso_terms = local_min_instance(name, np.random.default_rng(seed), seed)
+        x = space.local_min(y0, point_terms, iso_terms)
+
+        def f(y):
+            return space.local_value(y, point_terms, iso_terms)
+
+        scale = max(1.0, f(x))
+        for q in space._neighbours(x):
+            assert reference_segment_min(space, x, q, f) >= f(x) - 1e-12 * scale, q
+
+    @pytest.mark.parametrize("name", list(LOCAL_MIN_MODELS))
+    def test_exact_step_runs_on_the_edges_out_of_one_point(self, name, monkeypatch):
+        space = LOCAL_MIN_MODELS[name][0]
+        edge_min, calls = space._edge_min, []
+        monkeypatch.setattr(space, "_edge_min", lambda p, q, *rest: calls.append((p, q)) or edge_min(p, q, *rest))
+        rng = np.random.default_rng(61)
+        for k in range(40):
+            _, y0, point_terms, iso_terms = local_min_instance(name, rng, k)
+            calls.clear()
+            space.local_min(y0, point_terms, iso_terms)
+            (p,) = {p for p, _ in calls}
+            assert [q for _, q in calls] == space._neighbours(p)
+
+    @pytest.mark.parametrize("name", ["caterpillar", "cayley2"])
+    def test_interior_start_that_rounds_onto_its_edge_end(self, name):
+        space = LOCAL_MIN_MODELS[name][0]
+        # 1e-20 past a vertex at height 2 or 3: its distance to that vertex rounds to 0
+        y0 = space.edge_point(1, 1e-20) if name == "caterpillar" else space.edge_point((1, 2, 1), 2, 1e-20)
+        x = space.local_min(y0, [(1.0, y0)], [])
+        assert space.local_value(x, [(1.0, y0)], []) == 0.0
