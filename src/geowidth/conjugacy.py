@@ -50,6 +50,8 @@ class ConjugacyInstance:
             words.check_alphabet(w, self.alphabet_size)
         if self.policy not in (POLICY_INCREMENTAL, POLICY_BOUND):
             raise ConfigError(f"unknown radius policy {self.policy!r}")
+        if self.max_radius < 0:
+            raise DomainError("max_radius must be >= 0")
 
     def length_sum(self) -> int:
         return sum(len(a) + len(b) for a, b in zip(self.lists_a, self.lists_b))

@@ -181,7 +181,9 @@ def approx_length_density(
 
 
 class GeodesicHomotopy:
-    """The geodesic homotopy between two maps over the same graph and rho."""
+    """The geodesic homotopy between two maps over the same graph and rho.
+
+    ``track_lengths`` and ``maps_at`` sample each geodesic they need once, at all its parameters."""
 
     def __init__(self, u: EquivariantMap, v: EquivariantMap):
         if u.graph is not v.graph and u.graph.edges != v.graph.edges:  # Edge compares its four fields
@@ -202,17 +204,27 @@ class GeodesicHomotopy:
 
     def map_at(self, s: float) -> EquivariantMap:
         """The intermediate map with vertex images interpolated at fraction s."""
-        if not (0.0 <= s <= 1.0):
-            raise DomainError("homotopy parameter outside [0, 1]")
-        images = {
-            v: self.space._geodesic_point(self.u.images[v], self.v.images[v], s)
-            for v in self.u.graph.vertices
-        }
-        return self.u.with_images(images)
+        return next(self.maps_at((s,)))
+
+    def maps_at(self, s_grid: Sequence[float]):
+        """The intermediate maps at each s of s_grid, made one by one from each vertex's track, taken once."""
+        for s in s_grid:
+            if not (0.0 <= s <= 1.0):
+                raise DomainError(f"homotopy parameter {s} outside [0, 1]")
+        vs = self.u.graph.vertices
+        tracks = [self.space._geodesic_points(self.u.images[w], self.v.images[w], s_grid) for w in vs]
+        return (self.u.with_images(dict(zip(vs, images))) for images in zip(*tracks))
 
     def track_length(self, k: int, x: float) -> float:
         """l_H at the point of edge k at fraction x: dist(u(x), v(x))."""
-        return self.space._dist(self.u.at(k, x), self.v.at(k, x))
+        return self.track_lengths(k, (x,))[0]
+
+    def track_lengths(self, k: int, xs: Sequence[float]) -> list[float]:
+        """l_H at the points of edge k at fractions xs; edge k's u- and v-segments are each sampled once."""
+        if not all(0.0 <= x <= 1.0 for x in xs):
+            raise DomainError("edge coordinate outside [0, 1]")
+        us = self.space._geodesic_points(*self.u.edge_endpoints(k), xs)
+        return list(map(self.space._dist, us, self.space._geodesic_points(*self.v.edge_endpoints(k), xs)))
 
 
 def homotopy_width_inf(h: GeodesicHomotopy) -> float:
@@ -235,6 +247,7 @@ def homotopy_width_2_detailed(h: GeodesicHomotopy, samples_per_edge: int = 64):
     Returns (width, error_estimate); the estimate compares against the
     half-resolution rule on every other sample, so it is deterministic.  The
     subinterval count is rounded up to a multiple of 4: both rules need it even.
+    Each edge's track lengths come from one ``track_lengths`` call.
     """
     if samples_per_edge < 2:
         raise DomainError("need at least 2 subintervals per edge")
@@ -249,7 +262,7 @@ def homotopy_width_2_detailed(h: GeodesicHomotopy, samples_per_edge: int = 64):
 
     fine = coarse = 0.0
     for k, e in enumerate(h.u.graph.edges):
-        fs = np.array([h.track_length(k, x) ** 2 for x in xs])
+        fs = np.array([d ** 2 for d in h.track_lengths(k, xs)])
         fine += simpson(fs, e.length / k_sub)
         # a contiguous copy, so that the dot product sums as on a fresh array
         coarse += simpson(fs[::2].copy(), e.length / (k_sub // 2))
@@ -271,18 +284,16 @@ class ConvexityRow:
 
 
 def convexity_report(h: GeodesicHomotopy, s_grid: Sequence[float]) -> list[ConvexityRow]:
-    """Lengths and energies of the intermediate maps along the homotopy.
+    """Lengths and energies of the intermediate maps along the homotopy, from ``maps_at``.
 
-    Raises GeowidthError if the length or sqrt-energy convexity inequality
-    fails beyond ``CONVEXITY_TOL``.
+    Raises DomainError, before any map is made, on a grid value outside
+    [0, 1], and GeowidthError if the length or sqrt-energy convexity
+    inequality fails beyond ``CONVEXITY_TOL``.
     """
     l_u, l_v = length(h.u), length(h.v)
     e_u, e_v = energy(h.u), energy(h.v)
     rows = []
-    for s in s_grid:
-        if not (0.0 <= s <= 1.0):
-            raise DomainError(f"grid value {s} outside [0, 1]")
-        m = h.map_at(s)
+    for s, m in zip(s_grid, h.maps_at(s_grid)):
         l_s, e_s = length(m), energy(m)
         if l_s > (1.0 - s) * l_u + s * l_v + CONVEXITY_TOL:
             raise GeowidthError(f"length convexity violated at s={s}")

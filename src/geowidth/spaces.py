@@ -23,19 +23,21 @@ along root paths and one relaxation minimiser, a descent walk; each supplies
 heights, lowest common ancestors and the neighbours of a point.
 
 Points are checked once, where they enter.  The public ``dist`` and
-``geodesic_point`` check their points (and t), then delegate to the
-trusted kernels ``_dist`` and ``_geodesic_point``, which run on values the
-library already holds: the defect functionals and the projection check
-each input point once and then call only the kernels, as do the library's
-own callers (map measurement, homotopies, widths, relaxation, orbit
-distances).  The check is the model's ``_check_point``: ``validate_point``
-on the tree models and Euclidean space, type and shape only on the
-hyperbolic plane, whose isometry images drift off the sheet in the last
-digits.  Tree points come from one trusted constructor per tree model,
-``_edge_point``; the public ``edge_point`` checks through ``validate_point``
-first.  The hyperbolic kernels and local solver run on Python floats,
-with numpy's operations in the same order; only the solver's 3-term dot
-and matrix-vector sums, taken left to right, may differ from numpy's.
+``geodesic_point`` check their points (and t), then delegate to the trusted
+kernels ``_dist`` and ``_geodesic_point``, which run on values the library
+already holds: the defect functionals and the projection check each input
+point once and then call only the kernels, as do the library's own callers
+(map measurement, homotopies, widths, relaxation, orbit distances).
+``_geodesic_points(p, q, ts)`` is ``_geodesic_point`` at each t, bit for
+bit, doing once what does not depend on t; the widths and convexity reports
+use it.  The check is the model's ``_check_point``: ``validate_point`` on
+the tree models and Euclidean space, type and shape only on the hyperbolic
+plane, whose isometry images drift off the sheet in the last digits.  Tree
+points come from one trusted constructor per tree model, ``_edge_point``;
+the public ``edge_point`` checks through ``validate_point`` first.  The
+hyperbolic kernels and local solver run on Python floats, with numpy's
+operations in the same order; only the solver's 3-term dot and matrix-vector
+sums, taken left to right, may differ from numpy's.
 
 JSON forms::
 
@@ -152,6 +154,11 @@ class Space:
     def _geodesic_point(self, p, q, t: float):
         """``geodesic_point`` on trusted points and a trusted t in [0, 1]."""
         raise NotImplementedError
+
+    def _geodesic_points(self, p, q, ts) -> list:
+        """``[_geodesic_point(p, q, t) for t in ts]``, bit for bit for Python or float64 t; a model does once
+        what does not depend on t."""
+        return [self._geodesic_point(p, q, t) for t in ts]
 
     def random_point(self, rng: np.random.Generator):
         raise NotImplementedError
@@ -270,6 +277,13 @@ class EuclideanSpace(Space):
         if t == 1.0:
             return q
         return (1.0 - t) * p + t * q
+
+    def _geodesic_points(self, p, q, ts) -> list:
+        at = np.asarray(ts)
+        if p.dtype != np.float64 or q.dtype != np.float64 or at.dtype != np.float64:  # a Python-float t keeps float32
+            return super()._geodesic_points(p, q, ts)
+        rows = np.outer(1.0 - at, p) + np.outer(at, q)  # the products and sums of _geodesic_point
+        return [p if t == 0.0 else q if t == 1.0 else x for t, x in zip(at.tolist(), rows)]
 
     def random_point(self, rng: np.random.Generator):
         return rng.standard_normal(self.dim)
@@ -432,6 +446,20 @@ class HyperbolicPlane(Space):
         q0, q1, q2 = q.tolist()
         return np.array(_sheet(a * p0 + b * q0, a * p1 + b * q1, a * p2 + b * q2))
 
+    def _geodesic_points(self, p, q, ts) -> list:
+        (p0, p1, p2), (q0, q1, q2) = pl, ql = p.tolist(), q.tolist()
+        d, ts = _h_dist(pl, ql), np.asarray(ts, dtype=float).tolist()
+        # sinh overflows past d = 710.47: take it only where _geodesic_point would
+        s = math.sinh(d) if d != 0.0 and any(0.0 < t < 1.0 for t in ts) else 0.0
+        out = []
+        for t in ts:
+            if t == 0.0 or t == 1.0 or d == 0.0:
+                out.append(q if t == 1.0 else p)
+            else:
+                a, b = math.sinh((1.0 - t) * d) / s, math.sinh(t * d) / s
+                out.append(np.array(_sheet(a * p0 + b * q0, a * p1 + b * q1, a * p2 + b * q2)))
+        return out
+
     def from_polar(self, radius: float, angle: float) -> np.ndarray:
         return np.array(
             [math.cosh(radius), math.sinh(radius) * math.cos(angle), math.sinh(radius) * math.sin(angle)]
@@ -531,6 +559,20 @@ class _TreeSpace(Space):
         if target <= up:
             return self._above(x, hp - target, snap)
         return self._above(y, hq - (total - target), snap)
+
+    def _geodesic_points(self, p, q, ts) -> list:
+        x, hp, y, hq, hm = self._meet(p, q)
+        up = hp - hm
+        total = up + (hq - hm)
+        snap = VERTEX_SNAP * max(1.0, hp + hq)
+        out = []
+        for t in np.asarray(ts, dtype=float).tolist():
+            if t == 0.0 or t == 1.0 or total == 0.0:
+                out.append(q if t == 1.0 else p)
+            else:
+                target = t * total
+                out.append(self._above(x, hp - target, snap) if target <= up else self._above(y, hq - (total - target), snap))
+        return out
 
     def local_min(self, y0, point_terms, iso_terms):
         """Walk downhill from y0 vertex to vertex, then minimise exactly on each edge out of where it stopped.

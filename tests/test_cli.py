@@ -254,6 +254,16 @@ class TestConjugacy:
         # byte for byte the transcript of the conjugator ab, pretty-printed
         assert '  "transcript": [\n' + expected + "  ],\n" in out
 
+    @pytest.mark.parametrize("context", ["free", "matrix"])
+    def test_negative_max_radius_is_a_usage_error(self, capsys, tmp_path, context):
+        argv = ["conjugacy", "solve", "--alphabet", "2", "--a", "ab", "--b", "ba", "--max-radius", "-1"]
+        if context == "matrix":
+            save_representation(str(tmp_path / "rep.json"), readme_rep())
+            argv += ["--rep", str(tmp_path / "rep.json")]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (64, "")
+        assert "max_radius must be >= 0" in err
+
     def test_matrix_search_past_radius_five(self, capsys, tmp_path):
         path = tmp_path / "readme_rep.json"
         save_representation(str(path), readme_rep())

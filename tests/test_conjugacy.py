@@ -82,6 +82,11 @@ class TestInstanceValidation:
         with pytest.raises(ConfigError):
             free_instance(["a"], ["a"], policy="wild")
 
+    def test_negative_max_radius(self):
+        with pytest.raises(DomainError, match="max_radius must be >= 0"):
+            free_instance(["a"], ["a"], max_radius=-1)
+        assert free_instance(["a"], ["a"], max_radius=0).max_radius == 0
+
 
 class TestSearchRadius:
     def test_bound_policy(self):

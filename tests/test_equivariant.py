@@ -23,6 +23,9 @@ from geowidth.errors import DomainError
 from geowidth.isometries import EuclideanIsometry, HyperbolicIsometry, Representation
 from geowidth.spaces import EuclideanSpace, HyperbolicPlane
 
+from conftest import readme_rep
+from test_acceptance import _theta_graph, _theta_representations
+
 
 def euclidean_translation_rep(vectors):
     space = EuclideanSpace(len(vectors[0]))
@@ -232,19 +235,24 @@ class TestEdgeData:
 
     @pytest.fixture
     def counted(self, monkeypatch):
-        counts = {"evaluate": 0, "track_length": 0}
-        evaluate, track_length = Representation.evaluate, GeodesicHomotopy.track_length
+        counts = {"evaluate": 0, "geodesic_point": 0, "segments": []}
+        evaluate, point, points = Representation.evaluate, HyperbolicPlane._geodesic_point, HyperbolicPlane._geodesic_points
 
         def counted_evaluate(self, g):
             counts["evaluate"] += 1
             return evaluate(self, g)
 
-        def counted_track_length(self, k, x):
-            counts["track_length"] += 1
-            return track_length(self, k, x)
+        def counted_point(self, p, q, t):
+            counts["geodesic_point"] += 1
+            return point(self, p, q, t)
+
+        def counted_points(self, p, q, ts):
+            counts["segments"].append((p.tolist(), q.tolist(), list(ts)))
+            return points(self, p, q, ts)
 
         monkeypatch.setattr(Representation, "evaluate", counted_evaluate)
-        monkeypatch.setattr(GeodesicHomotopy, "track_length", counted_track_length)
+        monkeypatch.setattr(HyperbolicPlane, "_geodesic_point", counted_point)
+        monkeypatch.setattr(HyperbolicPlane, "_geodesic_points", counted_points)
         return counts
 
     def test_construction_evaluates_each_label_once(self, counted):
@@ -260,9 +268,20 @@ class TestEdgeData:
 
     @pytest.mark.parametrize("samples, k_sub", [(64, 64), (10, 12), (2, 4)])
     def test_width_2_samples_each_track_once(self, counted, samples, k_sub):
+        # each edge's u-segment and v-segment is sampled in one call, at the k_sub + 1 quadrature nodes
         u, v = TestHomotopy().hyp_theta_maps()
         homotopy_width_2_detailed(GeodesicHomotopy(u, v), samples)
-        assert counted["track_length"] == len(u.graph.edges) * (k_sub + 1)
+        segments = [tuple(x.tolist() for x in m.edge_endpoints(k)) for k in range(len(u.graph.edges)) for m in (u, v)]
+        assert sorted((p, q) for p, q, _ in counted["segments"]) == sorted(segments)
+        assert all(ts == np.linspace(0.0, 1.0, k_sub + 1).tolist() for *_, ts in counted["segments"])
+        assert counted["geodesic_point"] == 0
+
+    def test_convexity_report_samples_each_vertex_track_once(self, counted):
+        u, v = TestHomotopy().hyp_theta_maps()
+        grid = [i / 10 for i in range(11)]
+        convexity_report(GeodesicHomotopy(u, v), grid)
+        assert counted["segments"] == [(u.images[w].tolist(), v.images[w].tolist(), grid) for w in u.graph.vertices]
+        assert counted["geodesic_point"] == 0
 
     def test_with_images_measures_the_new_images(self):
         # a quarter turn about the origin: loop length sqrt(2) |y|
@@ -274,3 +293,60 @@ class TestEdgeData:
         assert m.isometries is u.isometries
         assert np.array_equal(m.images["v"], [3.0, 4.0])
         assert (u.edge_lengths, m.edge_lengths) == ([0.0], [EuclideanSpace(2).dist(np.array([3.0, 4.0]), np.array([-4.0, 3.0]))])
+
+
+# ---------------------------------------------------------------------------
+# the batched callers against the per-sample loops they replaced, bit for bit
+
+
+def maps_workload_representations():
+    """The seven theta-graph actions of the benchmark's maps workload."""
+    reps = _theta_representations()
+    reps["sl2z"] = readme_rep()
+    reps["free-2"] = Representation.free_on_cayley_tree(2)
+    return reps
+
+
+def reference_width_2(h, samples_per_edge):
+    """homotopy_width_2_detailed as one dist of two scalar geodesic points per sample."""
+    k_sub = -(-samples_per_edge // 4) * 4
+    xs = np.linspace(0.0, 1.0, k_sub + 1)
+
+    def simpson(fs, step):
+        w = np.ones(len(fs))
+        w[1:-1:2] = 4.0
+        w[2:-1:2] = 2.0
+        return step / 3.0 * float(w @ fs)
+
+    fine = coarse = 0.0
+    for k, e in enumerate(h.u.graph.edges):
+        fs = np.array([h.space._dist(h.u.at(k, x), h.v.at(k, x)) ** 2 for x in xs])
+        fine += simpson(fs, e.length / k_sub)
+        coarse += simpson(fs[::2].copy(), e.length / (k_sub // 2))
+    width = math.sqrt(max(fine, 0.0))
+    err = abs(fine - coarse) / 15.0
+    return width, err / (2.0 * width) if width > 1e-12 else math.sqrt(err)
+
+
+def reference_convexity_rows(h, s_grid):
+    """(s, length, energy) of the map made from scalar geodesic points at each s."""
+    rows = []
+    for s in s_grid:
+        m = h.u.with_images({w: h.space._geodesic_point(h.u.images[w], h.v.images[w], s) for w in h.u.graph.vertices})
+        rows.append((float(s), length(m), energy(m)))
+    return rows
+
+
+class TestBatchedCallers:
+    @pytest.mark.parametrize("name", list(maps_workload_representations()))
+    def test_width_2_and_convexity_rows_match_the_per_sample_loops(self, name):
+        rho = maps_workload_representations()[name]
+        rng = np.random.default_rng(1801)
+        grid = [i / 10 for i in range(11)]
+        for _ in range(8):
+            u, v = (EquivariantMap(_theta_graph(), rho, {0: rho.space.random_point(rng), 1: rho.space.random_point(rng)}) for _ in range(2))
+            h = GeodesicHomotopy(u, v)
+            for samples in (2, 10, 64):
+                assert repr(homotopy_width_2_detailed(h, samples)) == repr(reference_width_2(h, samples))
+            rows = [(r.s, r.length, r.energy) for r in convexity_report(h, grid)]
+            assert repr(rows) == repr(reference_convexity_rows(h, grid))

@@ -1,5 +1,7 @@
-"""Property tests over every model space: JSON round trips, geodesic splits, map edge data, the trusted kernels and the float hyperbolic solver."""
+"""Property tests over every model space: JSON round trips, geodesic splits, map edge data, the trusted kernels
+and their batched geodesic kernel, and the float hyperbolic solver."""
 
+import dataclasses
 import json
 import math
 
@@ -204,6 +206,53 @@ def test_kernels_match_reference_and_public_calls(name, seed, near, scale, t):
         assert bits(d) == bits(reference_dist(space, p, q))
     if space.model == "hyperbolic":
         assert bits(x) == bits(reference_geodesic_point(space, p, q, t))
+
+
+def exactly(x):
+    """A point's type and bits, -0.0 and dtype included; a tree point's np.float64 fields read as floats."""
+    if isinstance(x, np.ndarray):
+        return x.dtype.str, repr(x.tolist())
+    return type(x).__name__, tuple(float.hex(v) if isinstance(v, float) else v for v in dataclasses.astuple(x))
+
+
+def batch_points(space, p, q, vertex, coincident, dtype):
+    """p and q as the batch test takes them: tree points moved to a vertex, q = p, Euclidean points cast."""
+    if space.model in ("tree", "cayley"):
+        # the vertex at the anchor of the point's edge
+        snap = (lambda x: space.vertex_point(x.word)) if space.model == "cayley" else (
+            lambda x: x if x.edge is None else space.vertex_point(space.edges[x.edge][0])
+        )
+        p, q = (snap(x) if v else x for x, v in zip((p, q), vertex))
+    if coincident:
+        q = p.copy() if isinstance(p, np.ndarray) else p
+    if space.model == "euclidean" and dtype != "float64":
+        p, q = ((4.0 * x).astype(dtype) for x in (p, q))
+    return p, q
+
+
+@pytest.mark.parametrize("name", list(SPACES))
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=seeds,
+    near=st.booleans(),
+    scale=st.sampled_from([1e-15, 1e-9, 1e-3]),
+    vertex=st.tuples(st.booleans(), st.booleans()),
+    coincident=st.booleans(),
+    dtype=st.sampled_from(["float64", "float32", "int64"]),
+    # fractions k/n put t * d(p, q) on the vertices of tree geodesics, where the snap decides
+    ts=st.lists(
+        st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0), st.fractions(0, 1, max_denominator=24).map(float)),
+        max_size=12,
+    ),
+    form=st.sampled_from(["floats", "float64s", "array"]),
+)
+def test_geodesic_points_match_point_by_point(name, seed, near, scale, vertex, coincident, dtype, ts, form):
+    space = SPACES[name]
+    p, q = batch_points(space, *kernel_pair(space, seed, near, scale), vertex, coincident, dtype)
+    ts = [0.0, *ts, 1.0]
+    ts = {"floats": ts, "float64s": [np.float64(t) for t in ts], "array": np.array(ts)}[form]
+    expected = [exactly(space._geodesic_point(p, q, t)) for t in ts]
+    assert [exactly(x) for x in space._geodesic_points(p, q, ts)] == expected
 
 
 @settings(max_examples=200, deadline=None)
