@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -204,16 +204,17 @@ class GeodesicHomotopy:
 
     def map_at(self, s: float) -> EquivariantMap:
         """The intermediate map with vertex images interpolated at fraction s."""
-        return next(self.maps_at((s,)))
+        return next(self.maps_at((s,)))[1]
 
-    def maps_at(self, s_grid: Sequence[float]):
-        """The intermediate maps at each s of s_grid, made one by one from each vertex's track, taken once."""
+    def maps_at(self, s_grid: Iterable[float]):
+        """(s, intermediate map) for each s of s_grid, made one by one from each vertex's track, taken once."""
+        s_grid = tuple(s_grid)
         for s in s_grid:
             if not (0.0 <= s <= 1.0):
                 raise DomainError(f"homotopy parameter {s} outside [0, 1]")
         vs = self.u.graph.vertices
         tracks = [self.space._geodesic_points(self.u.images[w], self.v.images[w], s_grid) for w in vs]
-        return (self.u.with_images(dict(zip(vs, images))) for images in zip(*tracks))
+        return ((s, self.u.with_images(dict(zip(vs, images)))) for s, *images in zip(s_grid, *tracks))
 
     def track_length(self, k: int, x: float) -> float:
         """l_H at the point of edge k at fraction x: dist(u(x), v(x))."""
@@ -283,7 +284,7 @@ class ConvexityRow:
     energy: float
 
 
-def convexity_report(h: GeodesicHomotopy, s_grid: Sequence[float]) -> list[ConvexityRow]:
+def convexity_report(h: GeodesicHomotopy, s_grid: Iterable[float]) -> list[ConvexityRow]:
     """Lengths and energies of the intermediate maps along the homotopy, from ``maps_at``.
 
     Raises DomainError, before any map is made, on a grid value outside
@@ -293,7 +294,7 @@ def convexity_report(h: GeodesicHomotopy, s_grid: Sequence[float]) -> list[Conve
     l_u, l_v = length(h.u), length(h.v)
     e_u, e_v = energy(h.u), energy(h.v)
     rows = []
-    for s, m in zip(s_grid, h.maps_at(s_grid)):
+    for s, m in h.maps_at(s_grid):
         l_s, e_s = length(m), energy(m)
         if l_s > (1.0 - s) * l_u + s * l_v + CONVEXITY_TOL:
             raise GeowidthError(f"length convexity violated at s={s}")

@@ -16,7 +16,7 @@ the non-elementarity precondition of the width-constant estimator.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -134,7 +134,7 @@ def stationarity_probe(result: HarmonicResult) -> float:
 
 
 def verify_harmonic_homotopy(
-    r1: HarmonicResult, r2: HarmonicResult, s_grid: Sequence[float]
+    r1: HarmonicResult, r2: HarmonicResult, s_grid: Iterable[float]
 ) -> list[tuple[float, float]]:
     """Energies along the geodesic homotopy between two minimizers.
 
@@ -148,7 +148,7 @@ def verify_harmonic_homotopy(
     e_star = min(r1.e_star, r2.e_star)
     tol = max(1e-6, 10.0 * RelaxationConfig().displacement_tolerance * e_star)
     rows = []
-    for s, m in zip(s_grid, h.maps_at(s_grid)):
+    for s, m in h.maps_at(s_grid):
         e_s = energy(m)
         if abs(e_s - e_star) > tol:
             raise PreconditionError(

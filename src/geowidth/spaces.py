@@ -30,14 +30,16 @@ point once and then call only the kernels, as do the library's own callers
 (map measurement, homotopies, widths, relaxation, orbit distances).
 ``_geodesic_points(p, q, ts)`` is ``_geodesic_point`` at each t, bit for
 bit, doing once what does not depend on t; the widths and convexity reports
-use it.  The check is the model's ``_check_point``: ``validate_point`` on
-the tree models and Euclidean space, type and shape only on the hyperbolic
-plane, whose isometry images drift off the sheet in the last digits.  Tree
-points come from one trusted constructor per tree model, ``_edge_point``;
-the public ``edge_point`` checks through ``validate_point`` first.  The
-hyperbolic kernels and local solver run on Python floats, with numpy's
-operations in the same order; only the solver's 3-term dot and matrix-vector
-sums, taken left to right, may differ from numpy's.
+use it.  On the hyperbolic plane and the trees both kernels take each
+interior point from one step function.  The check is the model's
+``_check_point``: ``validate_point`` on the tree models and Euclidean space,
+type and shape only on the hyperbolic plane, whose isometry images drift off
+the sheet in the last digits.  Tree points come from one trusted constructor
+per tree model, ``_edge_point``; the public ``edge_point`` checks through
+``validate_point`` first.  The hyperbolic kernels and local solver run on
+Python floats, with numpy's operations in the same order; only the solver's
+3-term dot and matrix-vector sums, taken left to right, may differ from
+numpy's.
 
 JSON forms::
 
@@ -279,6 +281,8 @@ class EuclideanSpace(Space):
         return (1.0 - t) * p + t * q
 
     def _geodesic_points(self, p, q, ts) -> list:
+        """A float64 batch is np.outer(1 - t, p) + np.outer(t, q), the products and sums of ``_geodesic_point``;
+        its interior points are rows of that one array, so they share its memory."""
         at = np.asarray(ts)
         if p.dtype != np.float64 or q.dtype != np.float64 or at.dtype != np.float64:  # a Python-float t keeps float32
             return super()._geodesic_points(p, q, ts)
@@ -338,6 +342,13 @@ def _h_dist(p, q) -> float:
     if s <= 0.0:
         return 0.0
     return 2.0 * math.asinh(0.5 * math.sqrt(s))
+
+
+def _h_step(p, q, d: float, s: float, t: float) -> np.ndarray:
+    """The point at fraction t, 0 < t < 1, of the geodesic p -> q, with d = dist(p, q) > 0 and s = sinh(d)."""
+    a, b = math.sinh((1.0 - t) * d) / s, math.sinh(t * d) / s
+    (p0, p1, p2), (q0, q1, q2) = p, q
+    return np.array(_sheet(a * p0 + b * q0, a * p1 + b * q1, a * p2 + b * q2))
 
 
 def _h_exp(p, v):
@@ -437,28 +448,18 @@ class HyperbolicPlane(Space):
             return p
         if t == 1.0:
             return q
-        d = self._dist(p, q)
+        pl, ql = p.tolist(), q.tolist()
+        d = _h_dist(pl, ql)
         if d == 0.0:
             return p
-        s = math.sinh(d)
-        a, b = math.sinh((1.0 - t) * d) / s, math.sinh(t * d) / s
-        p0, p1, p2 = p.tolist()
-        q0, q1, q2 = q.tolist()
-        return np.array(_sheet(a * p0 + b * q0, a * p1 + b * q1, a * p2 + b * q2))
+        return _h_step(pl, ql, d, math.sinh(d), t)
 
     def _geodesic_points(self, p, q, ts) -> list:
-        (p0, p1, p2), (q0, q1, q2) = pl, ql = p.tolist(), q.tolist()
+        pl, ql = p.tolist(), q.tolist()
         d, ts = _h_dist(pl, ql), np.asarray(ts, dtype=float).tolist()
         # sinh overflows past d = 710.47: take it only where _geodesic_point would
         s = math.sinh(d) if d != 0.0 and any(0.0 < t < 1.0 for t in ts) else 0.0
-        out = []
-        for t in ts:
-            if t == 0.0 or t == 1.0 or d == 0.0:
-                out.append(q if t == 1.0 else p)
-            else:
-                a, b = math.sinh((1.0 - t) * d) / s, math.sinh(t * d) / s
-                out.append(np.array(_sheet(a * p0 + b * q0, a * p1 + b * q1, a * p2 + b * q2)))
-        return out
+        return [q if t == 1.0 else p if t == 0.0 or d == 0.0 else _h_step(pl, ql, d, s, t) for t in ts]
 
     def from_polar(self, radius: float, angle: float) -> np.ndarray:
         return np.array(
@@ -543,36 +544,32 @@ class _TreeSpace(Space):
         _, hp, _, hq, hm = self._meet(p, q)
         return (hp - hm) + (hq - hm)
 
+    def _span(self, p, q) -> tuple:
+        """The geodesic p -> q apart from t: its length, each end as (vertex below, height), p's climb, the snap."""
+        x, hp, y, hq, hm = self._meet(p, q)
+        up = hp - hm
+        # heights carry rounding relative to their size, and so does the vertex snap
+        return up + (hq - hm), x, hp, y, hq, up, VERTEX_SNAP * max(1.0, hp + hq)
+
+    def _step(self, span: tuple, t: float):
+        """The point at fraction t, 0 < t < 1, of a geodesic of positive length, given by its ``_span``."""
+        total, x, hp, y, hq, up, snap = span
+        target = t * total
+        if target <= up:
+            return self._above(x, hp - target, snap)
+        return self._above(y, hq - (total - target), snap)
+
     def _geodesic_point(self, p, q, t: float):
         if t == 0.0:
             return p
         if t == 1.0:
             return q
-        x, hp, y, hq, hm = self._meet(p, q)
-        up = hp - hm
-        total = up + (hq - hm)
-        if total == 0.0:
-            return p
-        target = t * total
-        # heights carry rounding relative to their size, and so does the snap
-        snap = VERTEX_SNAP * max(1.0, hp + hq)
-        if target <= up:
-            return self._above(x, hp - target, snap)
-        return self._above(y, hq - (total - target), snap)
+        span = self._span(p, q)
+        return self._step(span, t) if span[0] != 0.0 else p
 
     def _geodesic_points(self, p, q, ts) -> list:
-        x, hp, y, hq, hm = self._meet(p, q)
-        up = hp - hm
-        total = up + (hq - hm)
-        snap = VERTEX_SNAP * max(1.0, hp + hq)
-        out = []
-        for t in np.asarray(ts, dtype=float).tolist():
-            if t == 0.0 or t == 1.0 or total == 0.0:
-                out.append(q if t == 1.0 else p)
-            else:
-                target = t * total
-                out.append(self._above(x, hp - target, snap) if target <= up else self._above(y, hq - (total - target), snap))
-        return out
+        span, ts = self._span(p, q), np.asarray(ts, dtype=float).tolist()
+        return [q if t == 1.0 else p if t == 0.0 or span[0] == 0.0 else self._step(span, t) for t in ts]
 
     def local_min(self, y0, point_terms, iso_terms):
         """Walk downhill from y0 vertex to vertex, then minimise exactly on each edge out of where it stopped.

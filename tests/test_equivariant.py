@@ -350,3 +350,12 @@ class TestBatchedCallers:
                 assert repr(homotopy_width_2_detailed(h, samples)) == repr(reference_width_2(h, samples))
             rows = [(r.s, r.length, r.energy) for r in convexity_report(h, grid)]
             assert repr(rows) == repr(reference_convexity_rows(h, grid))
+
+    def test_a_generator_grid_gives_the_rows_of_a_list_grid(self):
+        # the grid is read once: the range check must not use up a generator before the maps are made
+        u, v = TestHomotopy().hyp_theta_maps()
+        h = GeodesicHomotopy(u, v)
+        rows = [(r.s, r.length, r.energy) for r in convexity_report(h, (i / 10 for i in range(11)))]
+        assert len(rows) == 11
+        assert repr(rows) == repr(reference_convexity_rows(h, [i / 10 for i in range(11)]))
+        assert [s for s, _ in h.maps_at(iter([0.0, 0.5, 1.0]))] == [0.0, 0.5, 1.0]

@@ -238,6 +238,7 @@ class TestHarmonicHomotopy:
         assert len(rows) == 11
         for _, e_s in rows:
             assert e_s == pytest.approx(4.0, abs=1e-5)
+        assert verify_harmonic_homotopy(r1, r2, (i / 10 for i in range(11))) == rows
 
     def test_requires_convergence(self):
         rho = hyperbolic_axial_rep()
