@@ -30,12 +30,12 @@ point once and then call only the kernels, as do the library's own callers
 (map measurement, homotopies, widths, relaxation, orbit distances).
 ``_geodesic_points(p, q, ts)`` is ``_geodesic_point`` at each t, bit for
 bit, doing once what does not depend on t; the widths and convexity reports
-use it.  On the hyperbolic plane and the trees both kernels take each
-interior point from one step function.  The check is the model's
-``_check_point``: ``validate_point`` on the tree models and Euclidean space,
-type and shape only on the hyperbolic plane, whose isometry images drift off
-the sheet in the last digits.  Tree points come from one trusted constructor
-per tree model, ``_edge_point``; the public ``edge_point`` checks through
+use it.  Each model supplies ``_span`` and ``_step``, and ``Space`` owns the
+endpoint rules and both loops.  The check is the model's ``_check_point``:
+``validate_point`` on the tree models and Euclidean space, type and shape
+only on the hyperbolic plane, whose isometry images drift off the sheet in
+the last digits.  Tree points come from one trusted constructor per tree
+model, ``_edge_point``; the public ``edge_point`` checks through
 ``validate_point`` first.  The hyperbolic kernels and local solver run on
 Python floats, with numpy's operations in the same order; only the solver's
 3-term dot and matrix-vector sums, taken left to right, may differ from
@@ -133,7 +133,14 @@ class CayleyPoint:
 
 
 class Space:
-    """Common interface of the model spaces."""
+    """Common interface of the model spaces.
+
+    A model supplies its geodesics through two hooks: ``_span(p, q)``, what
+    the geodesic p -> q needs apart from t, or None when it has length 0;
+    and ``_step(span, t)``, the point at 0 < t < 1.  ``Space`` owns the
+    endpoint rules (t = 0 gives p, t = 1 gives q, length 0 gives p) and the
+    scalar and batch loops over them.
+    """
 
     model = "abstract"
 
@@ -155,12 +162,17 @@ class Space:
 
     def _geodesic_point(self, p, q, t: float):
         """``geodesic_point`` on trusted points and a trusted t in [0, 1]."""
-        raise NotImplementedError
+        if t == 0.0:
+            return p
+        if t == 1.0:
+            return q
+        span = self._span(p, q)
+        return p if span is None else self._step(span, float(t))
 
     def _geodesic_points(self, p, q, ts) -> list:
-        """``[_geodesic_point(p, q, t) for t in ts]``, bit for bit for Python or float64 t; a model does once
-        what does not depend on t."""
-        return [self._geodesic_point(p, q, t) for t in ts]
+        """``[_geodesic_point(p, q, t) for t in ts]``, bit for bit, over one ``_span``."""
+        span, ts = self._span(p, q), np.asarray(ts, dtype=float).tolist()
+        return [q if t == 1.0 else p if t == 0.0 or span is None else self._step(span, t) for t in ts]
 
     def random_point(self, rng: np.random.Generator):
         raise NotImplementedError
@@ -273,11 +285,11 @@ class EuclideanSpace(Space):
             return float(np.linalg.norm(v))
         return math.sqrt(v.dot(v))  # np.linalg.norm's own path for a float vector, bit for bit
 
-    def _geodesic_point(self, p, q, t: float):
-        if t == 0.0:
-            return p
-        if t == 1.0:
-            return q
+    def _span(self, p, q) -> tuple:
+        return p, q
+
+    def _step(self, span: tuple, t: float):
+        p, q = span
         return (1.0 - t) * p + t * q
 
     def _geodesic_points(self, p, q, ts) -> list:
@@ -342,13 +354,6 @@ def _h_dist(p, q) -> float:
     if s <= 0.0:
         return 0.0
     return 2.0 * math.asinh(0.5 * math.sqrt(s))
-
-
-def _h_step(p, q, d: float, s: float, t: float) -> np.ndarray:
-    """The point at fraction t, 0 < t < 1, of the geodesic p -> q, with d = dist(p, q) > 0 and s = sinh(d)."""
-    a, b = math.sinh((1.0 - t) * d) / s, math.sinh(t * d) / s
-    (p0, p1, p2), (q0, q1, q2) = p, q
-    return np.array(_sheet(a * p0 + b * q0, a * p1 + b * q1, a * p2 + b * q2))
 
 
 def _h_exp(p, v):
@@ -443,23 +448,17 @@ class HyperbolicPlane(Space):
     def _dist(self, p, q) -> float:
         return _h_dist(p.tolist(), q.tolist())
 
-    def _geodesic_point(self, p, q, t: float):
-        if t == 0.0:
-            return p
-        if t == 1.0:
-            return q
+    def _span(self, p, q):
         pl, ql = p.tolist(), q.tolist()
         d = _h_dist(pl, ql)
         if d == 0.0:
-            return p
-        return _h_step(pl, ql, d, math.sinh(d), t)
+            return None
+        return pl, ql, d, math.sinh(d)
 
-    def _geodesic_points(self, p, q, ts) -> list:
-        pl, ql = p.tolist(), q.tolist()
-        d, ts = _h_dist(pl, ql), np.asarray(ts, dtype=float).tolist()
-        # sinh overflows past d = 710.47: take it only where _geodesic_point would
-        s = math.sinh(d) if d != 0.0 and any(0.0 < t < 1.0 for t in ts) else 0.0
-        return [q if t == 1.0 else p if t == 0.0 or d == 0.0 else _h_step(pl, ql, d, s, t) for t in ts]
+    def _step(self, span: tuple, t: float) -> np.ndarray:
+        (p0, p1, p2), (q0, q1, q2), d, s = span
+        a, b = math.sinh((1.0 - t) * d) / s, math.sinh(t * d) / s
+        return np.array(_sheet(a * p0 + b * q0, a * p1 + b * q1, a * p2 + b * q2))
 
     def from_polar(self, radius: float, angle: float) -> np.ndarray:
         return np.array(
@@ -544,32 +543,22 @@ class _TreeSpace(Space):
         _, hp, _, hq, hm = self._meet(p, q)
         return (hp - hm) + (hq - hm)
 
-    def _span(self, p, q) -> tuple:
+    def _span(self, p, q):
         """The geodesic p -> q apart from t: its length, each end as (vertex below, height), p's climb, the snap."""
         x, hp, y, hq, hm = self._meet(p, q)
         up = hp - hm
+        total = up + (hq - hm)
+        if total == 0.0:
+            return None
         # heights carry rounding relative to their size, and so does the vertex snap
-        return up + (hq - hm), x, hp, y, hq, up, VERTEX_SNAP * max(1.0, hp + hq)
+        return total, x, hp, y, hq, up, VERTEX_SNAP * max(1.0, hp + hq)
 
     def _step(self, span: tuple, t: float):
-        """The point at fraction t, 0 < t < 1, of a geodesic of positive length, given by its ``_span``."""
         total, x, hp, y, hq, up, snap = span
         target = t * total
         if target <= up:
             return self._above(x, hp - target, snap)
         return self._above(y, hq - (total - target), snap)
-
-    def _geodesic_point(self, p, q, t: float):
-        if t == 0.0:
-            return p
-        if t == 1.0:
-            return q
-        span = self._span(p, q)
-        return self._step(span, t) if span[0] != 0.0 else p
-
-    def _geodesic_points(self, p, q, ts) -> list:
-        span, ts = self._span(p, q), np.asarray(ts, dtype=float).tolist()
-        return [q if t == 1.0 else p if t == 0.0 or span[0] == 0.0 else self._step(span, t) for t in ts]
 
     def local_min(self, y0, point_terms, iso_terms):
         """Walk downhill from y0 vertex to vertex, then minimise exactly on each edge out of where it stopped.

@@ -246,6 +246,15 @@ def batch_points(space, p, q, vertex, coincident, dtype):
     ),
     form=st.sampled_from(["floats", "float64s", "array"]),
 )
+# the floats next to the endpoints, where an endpoint rule that snaps would show
+@example(
+    seed=0, near=False, scale=1e-3, vertex=(False, False), coincident=False, dtype="float32",
+    ts=[math.nextafter(0.0, 1.0), math.nextafter(1.0, 0.0)], form="floats",
+)
+@example(
+    seed=0, near=False, scale=1e-3, vertex=(False, False), coincident=False, dtype="float64",
+    ts=[math.nextafter(0.0, 1.0), math.nextafter(1.0, 0.0)], form="array",
+)
 def test_geodesic_points_match_point_by_point(name, seed, near, scale, vertex, coincident, dtype, ts, form):
     space = SPACES[name]
     p, q = batch_points(space, *kernel_pair(space, seed, near, scale), vertex, coincident, dtype)
@@ -253,6 +262,37 @@ def test_geodesic_points_match_point_by_point(name, seed, near, scale, vertex, c
     ts = {"floats": ts, "float64s": [np.float64(t) for t in ts], "array": np.array(ts)}[form]
     expected = [exactly(space._geodesic_point(p, q, t)) for t in ts]
     assert [exactly(x) for x in space._geodesic_points(p, q, ts)] == expected
+
+
+def outcome(kernel):
+    """The point a kernel call returns, as ``exactly`` reads it, or the error it raises."""
+    try:
+        return exactly(kernel())
+    except InvalidPointError as e:
+        return repr(e)
+
+
+def test_far_apart_hyperbolic_batch_matches_point_by_point():
+    # the largest finite distance is 2 asinh(sqrt(max float) / 2) = 709.78, below sinh's overflow at 710.47
+    space = SPACES["hyperbolic"]
+    p, q = space.from_polar(354.0, 0.0), space.from_polar(354.0, math.pi)
+    assert space._dist(p, q) == pytest.approx(708.0)
+    for t in [k / 64 for k in range(1, 64)] + [1e-3, 1.0 - 1e-3]:
+        scalar = outcome(lambda: space._geodesic_point(p, q, t))
+        assert outcome(lambda: space._geodesic_points(p, q, [0.0, t, 1.0])[1]) == scalar
+    assert space.dist(space._geodesic_point(p, q, 0.5), space.from_polar(0.0, 0.0)) <= 1e-9
+
+
+def test_infinitely_far_hyperbolic_pair_keeps_its_endpoints():
+    space = SPACES["hyperbolic"]
+    p, q = space.from_polar(355.0, 0.0), space.from_polar(355.0, math.pi)
+    assert space._dist(p, q) == math.inf
+    assert [exactly(x) for x in space._geodesic_points(p, q, [0.0, 1.0])] == [exactly(p), exactly(q)]
+    assert space._geodesic_point(p, q, 0.0) is p and space._geodesic_point(p, q, 1.0) is q
+    with pytest.raises(InvalidPointError):
+        space._geodesic_point(p, q, 0.5)
+    with pytest.raises(InvalidPointError):
+        space._geodesic_points(p, q, [0.0, 0.5, 1.0])
 
 
 @settings(max_examples=200, deadline=None)

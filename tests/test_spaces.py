@@ -201,6 +201,19 @@ class TestGeodesicPoint:
                 for t in (math.nextafter(t_v, 0.0), t_v, math.nextafter(t_v, 1.0)):
                     assert space.geodesic_point(p, q, t) == v
 
+    @pytest.mark.parametrize("name", ["tripod", "deep-tree", "cayley2"])
+    def test_numpy_t_gives_float_fields(self, name):
+        space = all_model_spaces()[name]
+        rng = np.random.default_rng(37)
+        interior = 0
+        for _ in range(200):
+            p, q, t = space.random_point(rng), space.random_point(rng), float(rng.uniform())
+            x = space._geodesic_point(p, q, np.float64(t))
+            assert x == space._geodesic_point(p, q, t)
+            assert type(x.offset if isinstance(x, TreePoint) else x.t) is float
+            interior += x.edge is not None if isinstance(x, TreePoint) else x.letter != 0
+        assert interior > 100
+
     def test_t_out_of_range(self, euclid2):
         p = euclid2.point([0, 0])
         with pytest.raises(DomainError):
@@ -213,6 +226,67 @@ class TestGeodesicPoint:
             q = hyperbolic.random_point(rng)
             p = hyperbolic.geodesic_point(p, q, float(rng.uniform()))
         assert abs(hyperbolic.minkowski(p, p) - 1.0) <= 1e-9
+
+
+def counted_hooks(space, monkeypatch) -> dict:
+    """Record each span the instance's ``_span`` returns and count its ``_step`` calls."""
+    calls = {"spans": [], "step": 0}
+    span, step = space._span, space._step
+
+    def counted_span(p, q):
+        calls["spans"].append(span(p, q))
+        return calls["spans"][-1]
+
+    def counted_step(s, t):
+        calls["step"] += 1
+        return step(s, t)
+
+    monkeypatch.setattr(space, "_span", counted_span)
+    monkeypatch.setattr(space, "_step", counted_step)
+    return calls
+
+
+class TestGeodesicHooks:
+    """``Space`` owns the endpoint rules and both loops; a model's ``_span`` and ``_step`` run only past them."""
+
+    @pytest.mark.parametrize("name", list(all_model_spaces()))
+    def test_scalar_kernel(self, name, monkeypatch):
+        space = all_model_spaces()[name]
+        rng = np.random.default_rng(59)
+        p, q = space.random_point(rng), space.random_point(rng)
+        calls = counted_hooks(space, monkeypatch)
+        assert space._geodesic_point(p, q, 0.0) is p and space._geodesic_point(p, q, 1.0) is q
+        assert calls == {"spans": [], "step": 0}
+        for a, b in ((p, q), (p, p)):
+            calls.update(spans=[], step=0)
+            x = space._geodesic_point(a, b, 0.25)
+            assert len(calls["spans"]) == 1
+            if calls["spans"][0] is None:
+                assert calls["step"] == 0 and x is a
+            else:
+                assert calls["step"] == 1
+        # the span of (p, p): only Euclidean space has no length-0 rule
+        assert (calls["spans"][0] is None) == (space.model != "euclidean")
+
+    @pytest.mark.parametrize("name", list(all_model_spaces()))
+    @pytest.mark.parametrize("ts", [[], [0.0, 1.0], [0.5], [0.0, 0.25, 0.5, 1.0, 0.75], [i / 64 for i in range(65)]])
+    def test_batch_kernel_takes_one_span(self, name, ts, monkeypatch):
+        space = all_model_spaces()[name]
+        rng = np.random.default_rng(61)
+        p, q = space.random_point(rng), space.random_point(rng)
+        calls = counted_hooks(space, monkeypatch)
+        interior = sum(0.0 < t < 1.0 for t in ts)
+        pairs = [(p, q), (p, p)]
+        if space.model == "euclidean":  # float32 points take the shared loop, float64 points the outer product
+            pairs += [(p.astype(np.float32), q.astype(np.float32))]
+        for a, b in pairs:
+            calls.update(spans=[], step=0)
+            space._geodesic_points(a, b, ts)
+            if space.model == "euclidean" and a.dtype == np.float64:
+                assert calls == {"spans": [], "step": 0}
+            else:
+                assert len(calls["spans"]) == 1
+                assert calls["step"] == (0 if calls["spans"][0] is None else interior)
 
 
 class TestTreeReferee:
