@@ -8,6 +8,7 @@ from .spaces import (
     EuclideanSpace,
     HyperbolicPlane,
     MetricTree,
+    comparison_sweep,
     convexity_defect,
     project_to_segment,
     quadrilateral_defect,

@@ -52,7 +52,7 @@ from .equivariant import (
 from .errors import AlphabetMismatchError, CapabilityError, ConfigError, DomainError, GeowidthError, PreconditionError
 from .harmonic import RelaxationConfig, estimate_width_constant, relax
 from .serialization import load_map, load_representation, malformed_input, map_to_json, parse_json
-from .spaces import convexity_defect, quadrilateral_defect, space_from_json, triangle_defect
+from .spaces import comparison_sweep, space_from_json
 
 DEFAULT_SEED = 0xCA70  # fixed so bare invocations reproduce
 
@@ -134,12 +134,10 @@ def cmd_check_cat0(ns) -> tuple[dict, int]:
     for _ in range(ns.trials):
         pts = [space.random_point(rng) for _ in range(4)]
         lam = float(rng.uniform(0.0, 1.0))
-        tri = triangle_defect(space, pts[0], pts[1], pts[2], lam)
-        quad = [quadrilateral_defect(space, *pts, t, alpha) for t in grid for alpha in grid]
-        conv = [convexity_defect(space, *pts, t) for t in grid]
+        tri, quad, conv, sides = comparison_sweep(space, *pts, lam, grid)
         min_tri, min_quad, min_conv = min(min_tri, tri), min(min_quad, *quad), min(min_conv, *conv)
         # a defect is a difference of squared distances, each within a few ulps of D^2
-        d = max(space.dist(p, q) for i, p in enumerate(pts) for q in pts[i + 1:])
+        d = max(sides)
         ok = ok and min(tri, *quad, *conv) >= -(1e-9 + 16 * 2.0**-52 * d * d)
     fields = {
         "model": ns.model,

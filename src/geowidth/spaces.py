@@ -20,7 +20,10 @@ common fixed end).  An operation a model does not support raises
 ``CapabilityError``.  The two tree models are rooted (a finite tree at its
 first vertex, a Cayley tree at e) and share one distance, one geodesic walk
 along root paths and one relaxation minimiser, a descent walk; each supplies
-heights, lowest common ancestors and the neighbours of a point.
+heights, lowest common ancestors and the neighbours of a point.  A finite
+tree answers its root-path queries in O(log V) steps over a heavy-path
+decomposition (Sleator & Tarjan), so a distance or geodesic point costs
+O(log V) however deep the tree is.
 
 Points are checked once, where they enter.  The public ``dist`` and
 ``geodesic_point`` check their points (and t), then delegate to the trusted
@@ -56,14 +59,20 @@ On top of the interface the module provides the comparison-inequality
 defect functionals (triangle comparison, quadrilateral comparison,
 distance convexity) and nearest-point projection onto a geodesic segment.
 Defects are signed: nonnegative means the inequality holds.
+``comparison_sweep`` gives one quadruple's triangle defect and its
+quadrilateral and convexity defects over a grid, bit for bit as the
+per-call functions give them, from one check of each point, one
+measurement of each of the six sides, and one P_t, Q_t and d(P_t, Q_t) per
+t; it and the per-call functions share one formula per defect.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -530,7 +539,9 @@ class _TreeSpace(Space):
     ``_neighbours(p)``, the vertices next to a vertex or the two ends of an
     interior point's edge, in a fixed order.  The geodesic p -> q climbs p's
     root path to the height where it meets q's, then descends q's (Bridson &
-    Haefliger II.1).
+    Haefliger II.1).  A distance takes one ``_lca`` and a geodesic point one
+    ``_above``; on a finite tree each takes O(log V) steps, on a Cayley tree
+    O(word length).
     """
 
     def _meet(self, p, q):
@@ -608,8 +619,13 @@ class MetricTree(_TreeSpace):
     (a, b, length) with length > 0.  Connectivity and acyclicity are
     checked at construction, by one breadth-first search from the first
     vertex that roots the tree there: each vertex index gets its parent,
-    the edge to it, its level and its height.  A distance climbs from the
-    two points to their lowest common ancestor; the state is O(V).
+    the edge to it, its level and its height.  The search order then gives
+    a heavy-path decomposition: a vertex continues its parent's chain when
+    it roots the parent's largest subtree, so a root path crosses at most
+    log2(V) chains.  Each vertex gets its chain's head and its place in
+    one list of all chains, each top down, beside a list of their heights.
+    ``_lca`` climbs whole chains; ``_above`` climbs whole chains and
+    bisects the heights of the last one.  The state is O(V).
     """
 
     model = "tree"
@@ -651,6 +667,29 @@ class MetricTree(_TreeSpace):
             raise DomainError("tree is not connected")
         self._adj, self._parents, self._pedges, self._levels, self._heights = adj, parents, pedges, levels, heights
         self._height = heights.__getitem__
+        # heavy paths: sizes and each vertex's heaviest child, then the chains top down in search order
+        sizes, heavy = [1] * n, [-1] * n
+        for w in order[:0:-1]:  # children before parents
+            u = parents[w]
+            sizes[u] += sizes[w]
+            if heavy[u] < 0 or sizes[w] > sizes[heavy[u]]:
+                heavy[u] = w
+        heads, chains = [0] * n, {0: [0]}
+        for w in order[1:]:
+            u = parents[w]
+            if heavy[u] == w:
+                heads[w] = heads[u]
+                chains[heads[u]].append(w)
+            else:
+                heads[w] = w
+                chains[w] = [w]
+        # the chains one after another, each top down, in a few flat lists
+        chained = [v for chain in chains.values() for v in chain]
+        places = [0] * n
+        for k, v in enumerate(chained):
+            places[v] = k
+        self._heads, self._chained, self._places = heads, chained, places
+        self._chained_heights = [heights[v] for v in chained]
 
     @classmethod
     def from_json(cls, data: dict) -> "MetricTree":
@@ -712,14 +751,17 @@ class MetricTree(_TreeSpace):
     # the rooted tree on vertex indices -------------------------------------
 
     def _lca(self, i: int, j: int) -> int:
-        parents, levels = self._parents, self._levels
-        while levels[i] > levels[j]:
-            i = parents[i]
-        while levels[j] > levels[i]:
-            j = parents[j]
-        while i != j:
-            i, j = parents[i], parents[j]
-        return i
+        """Climb whole chains, the one whose head is lower first, until i and j share a chain."""
+        heads, parents, levels = self._heads, self._parents, self._levels
+        hi, hj = heads[i], heads[j]
+        while hi != hj:
+            if levels[hi] > levels[hj]:
+                i = parents[hi]
+                hi = heads[i]
+            else:
+                j = parents[hj]
+                hj = heads[j]
+        return i if levels[i] <= levels[j] else j
 
     def _low(self, p: TreePoint) -> tuple[int, float]:
         if p.edge is None:
@@ -731,16 +773,33 @@ class MetricTree(_TreeSpace):
         return ia, self._heights[ib] + (length - p.offset)
 
     def _above(self, i: int, h: float, snap: float) -> TreePoint:
-        parents, heights = self._parents, self._heights
-        while heights[i] - h > snap:
-            j = parents[i]
-            r = h - heights[j]  # arclength from the parent
-            if r > snap:
-                k = self._pedges[i]
-                ia, _, length = self._ends[k]
-                return self._edge_point(k, min(r, length) if ia == j else max(length - r, 0.0))
-            i = j
-        return TreePoint(vertex=self.vertices[i])
+        """The point a climb from i returns: the first vertex j with heights[j] - h <= snap, or the point inside
+        the edge below j when h - heights[j] > snap.  The first test only turns true going up, so beyond i's
+        parent j is found by climbing whole chains and bisecting the heights of the last one."""
+        heads, parents, heights = self._heads, self._parents, self._heights
+        if heights[i] - h <= snap:
+            return TreePoint(vertex=self.vertices[i])
+        below, j = i, parents[i]
+        if heights[j] - h > snap:
+            while heights[heads[j]] - h > snap:
+                below = heads[j]
+                j = parents[below]
+            chained, hs, places = self._chained, self._chained_heights, self._places
+            first, top = places[heads[j]], places[j]  # j's chain, from its head down to j
+            k = bisect.bisect_right(hs, h + snap, first, top + 1)  # rounding in h + snap may put k off by one
+            while k > first + 1 and hs[k - 1] - h > snap:
+                k -= 1
+            while k <= top and hs[k] - h <= snap:
+                k += 1
+            j = chained[k - 1]
+            if k <= top:
+                below = chained[k]
+        r = h - heights[j]  # arclength from j
+        if r > snap:
+            e = self._pedges[below]
+            ia, _, length = self._ends[e]
+            return self._edge_point(e, min(r, length) if ia == j else max(length - r, 0.0))
+        return TreePoint(vertex=self.vertices[j])
 
     def _edge_between(self, a, b) -> Optional[int]:
         """Index of the edge joining vertices a and b, or None."""
@@ -925,17 +984,8 @@ def _check_points(space: Space, *points) -> None:
         space._check_point(p)
 
 
-def triangle_defect(space: Space, P, Q, R, lam: float) -> float:
-    """RHS - LHS of the CAT(0) triangle comparison at fraction lam on [Q, R]."""
-    if not (0.0 <= lam <= 1.0):
-        raise DomainError("lambda outside [0, 1]")
-    _check_points(space, P, Q, R)
-    dist = space._dist
-    q_lam = space._geodesic_point(Q, R, lam)
-    d_pq = dist(P, Q)
-    d_pr = dist(P, R)
-    d_qr = dist(Q, R)
-    d_pql = dist(P, q_lam)
+def _triangle(lam: float, d_pq: float, d_pr: float, d_qr: float, d_pql: float) -> float:
+    """The triangle defect from d(P, Q), d(P, R), d(Q, R) and d(P, Q_lam)."""
     try:
         rhs = (1.0 - lam) * d_pq**2 + lam * d_pr**2 - lam * (1.0 - lam) * d_qr**2
         return rhs - d_pql**2
@@ -943,22 +993,8 @@ def triangle_defect(space: Space, P, Q, R, lam: float) -> float:
         raise DomainError(f"distances too large to square: {e}") from None
 
 
-def quadrilateral_defect(space: Space, P, Q, R, S, t: float, alpha: float) -> float:
-    """RHS - LHS of the Reshetnyak quadrilateral comparison.
-
-    P_t lies on the geodesic P -> S, Q_t on the geodesic Q -> R.
-    """
-    if not (0.0 <= t <= 1.0 and 0.0 <= alpha <= 1.0):
-        raise DomainError("t and alpha must lie in [0, 1]")
-    _check_points(space, P, Q, R, S)
-    dist, geodesic_point = space._dist, space._geodesic_point
-    p_t = geodesic_point(P, S, t)
-    q_t = geodesic_point(Q, R, t)
-    d_pq = dist(P, Q)
-    d_rs = dist(R, S)
-    d_ps = dist(P, S)
-    d_qr = dist(Q, R)
-    d_t = dist(p_t, q_t)
+def _quadrilateral(t: float, alpha: float, d_pq: float, d_rs: float, d_ps: float, d_qr: float, d_t: float) -> float:
+    """The quadrilateral defect from four sides, the diagonal d(P, S), and d(P_t, Q_t)."""
     try:
         lhs = d_t**2
         rhs = (
@@ -971,14 +1007,69 @@ def quadrilateral_defect(space: Space, P, Q, R, S, t: float, alpha: float) -> fl
     return rhs - lhs
 
 
+def _convexity(t: float, d_pq: float, d_rs: float, d_t: float) -> float:
+    """The convexity defect from d(P, Q), d(R, S) and d(P_t, Q_t)."""
+    return (1.0 - t) * d_pq + t * d_rs - d_t
+
+
+def triangle_defect(space: Space, P, Q, R, lam: float) -> float:
+    """RHS - LHS of the CAT(0) triangle comparison at fraction lam on [Q, R]."""
+    if not (0.0 <= lam <= 1.0):
+        raise DomainError("lambda outside [0, 1]")
+    _check_points(space, P, Q, R)
+    dist = space._dist
+    return _triangle(lam, dist(P, Q), dist(P, R), dist(Q, R), dist(P, space._geodesic_point(Q, R, lam)))
+
+
+def quadrilateral_defect(space: Space, P, Q, R, S, t: float, alpha: float) -> float:
+    """RHS - LHS of the Reshetnyak quadrilateral comparison.
+
+    P_t lies on the geodesic P -> S, Q_t on the geodesic Q -> R.
+    """
+    if not (0.0 <= t <= 1.0 and 0.0 <= alpha <= 1.0):
+        raise DomainError("t and alpha must lie in [0, 1]")
+    _check_points(space, P, Q, R, S)
+    dist, geodesic_point = space._dist, space._geodesic_point
+    d_t = dist(geodesic_point(P, S, t), geodesic_point(Q, R, t))
+    return _quadrilateral(t, alpha, dist(P, Q), dist(R, S), dist(P, S), dist(Q, R), d_t)
+
+
 def convexity_defect(space: Space, P, Q, R, S, t: float) -> float:
     """Slack in d(P_t, Q_t) <= (1-t) d(P,Q) + t d(R,S) (distance convexity)."""
     space._check_t(t)
     _check_points(space, P, Q, R, S)
     dist, geodesic_point = space._dist, space._geodesic_point
-    p_t = geodesic_point(P, S, t)
-    q_t = geodesic_point(Q, R, t)
-    return (1.0 - t) * dist(P, Q) + t * dist(R, S) - dist(p_t, q_t)
+    return _convexity(t, dist(P, Q), dist(R, S), dist(geodesic_point(P, S, t), geodesic_point(Q, R, t)))
+
+
+class ComparisonSweep(NamedTuple):
+    """The defects of one quadruple, and its six side lengths."""
+
+    triangle: float
+    quadrilateral: list  # at (t, alpha) for t in the grid, then alpha in the grid
+    convexity: list  # at each t of the grid
+    sides: tuple  # d(P, Q), d(P, R), d(P, S), d(Q, R), d(Q, S), d(R, S)
+
+
+def comparison_sweep(space: Space, P, Q, R, S, lam: float, grid) -> ComparisonSweep:
+    """``triangle_defect(P, Q, R, lam)``, ``quadrilateral_defect`` at every (t, alpha) of the grid and
+    ``convexity_defect`` at every t, bit for bit, from one check of each point, one measurement of each
+    side, and P_t, Q_t and d(P_t, Q_t) once per t."""
+    grid = list(grid)
+    if not (0.0 <= lam <= 1.0 and all(0.0 <= t <= 1.0 for t in grid)):
+        raise DomainError("lambda and the grid must lie in [0, 1]")
+    _check_points(space, P, Q, R, S)
+    dist, pts = space._dist, (P, Q, R, S)
+    sides = tuple(dist(a, b) for k, a in enumerate(pts) for b in pts[k + 1:])
+    d_pq, d_pr, d_ps, d_qr, _, d_rs = sides
+    q_lam, *q_ts = space._geodesic_points(Q, R, [lam, *grid])
+    d_ts = list(map(dist, space._geodesic_points(P, S, grid), q_ts))
+    return ComparisonSweep(
+        _triangle(lam, d_pq, d_pr, d_qr, dist(P, q_lam)),
+        [_quadrilateral(t, alpha, d_pq, d_rs, d_ps, d_qr, d_t) for t, d_t in zip(grid, d_ts) for alpha in grid],
+        [_convexity(t, d_pq, d_rs, d_t) for t, d_t in zip(grid, d_ts)],
+        sides,
+    )
 
 
 def project_to_segment(space: Space, a, b, y):

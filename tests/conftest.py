@@ -59,6 +59,15 @@ def deep_tree(n: int = 300) -> MetricTree:
     return MetricTree(list(range(n)), edges)
 
 
+def window_tree(n: int, window: int, seed: int) -> MetricTree:
+    """A seeded tree where vertex i hangs off one of the ``window`` vertices before it.
+
+    ``window_tree(5000, 2, 3)`` is the tree file of tests/test_cli.py's check-cat0 tests, depth 3,318."""
+    rng = np.random.default_rng(seed)
+    edges = [(int(rng.integers(max(0, i - window), i)), i, float(rng.uniform(0.5, 2.0))) for i in range(1, n)]
+    return MetricTree(list(range(n)), edges)
+
+
 def all_model_spaces():
     """One instance of each model, for parametrized property suites."""
     return {

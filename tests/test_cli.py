@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from geowidth import cli, spaces
 from geowidth.cli import _emit, main
 from geowidth.errors import DomainError
 from geowidth.equivariant import Edge, EquivariantMap, FundamentalGraph, build_bouquet_map
@@ -18,7 +19,7 @@ from geowidth.isometries import (
 from geowidth.serialization import map_to_json, save_map, save_representation
 from geowidth.spaces import CayleyTree, EuclideanSpace, HyperbolicPlane, MetricTree
 
-from conftest import readme_rep
+from conftest import readme_rep, window_tree
 
 
 def run(capsys, argv):
@@ -105,12 +106,8 @@ class TestCheckCat0:
     def test_large_tree_rounding_is_no_violation(self, capsys, tmp_path):
         # vertex i hangs on one of the two before it: distances reach ~2,000, and
         # differences of squared distances carry rounding of a few 1e-9
-        rng = np.random.default_rng(3)
-        edges = [
-            {"a": int(rng.integers(max(0, i - 2), i)), "b": i, "len": float(rng.uniform(0.5, 2.0))} for i in range(1, 5000)
-        ]
         path = tmp_path / "tree.json"
-        path.write_text(json.dumps({"vertices": list(range(5000)), "edges": edges}))
+        path.write_text(json.dumps(window_tree(5000, 2, 3).to_json_dict()))
         argv = ["check-cat0", "--model", "tree", "--tree-file", str(path), "--trials", "20", "--seed", "4"]
         code, out, _ = run(capsys, argv)
         report = json.loads(out)
@@ -121,9 +118,55 @@ class TestCheckCat0:
         tree = MetricTree(["c", "p", "q", "r"], [("c", "p", 1.0), ("c", "q", 1.0), ("c", "r", 1.0)])
         path = tmp_path / "tree.json"
         path.write_text(json.dumps(tree.to_json_dict()))
-        monkeypatch.setattr("geowidth.cli.triangle_defect", lambda *args: -1e-8)
+        sweep = spaces.comparison_sweep
+        monkeypatch.setattr("geowidth.cli.comparison_sweep", lambda *args: sweep(*args)._replace(triangle=-1e-8))
         code, out, _ = run(capsys, ["check-cat0", "--model", "tree", "--tree-file", str(path), "--trials", "5"])
         assert (code, json.loads(out)["ok"]) == (2, False)
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("model", ["euclidean-2", "euclidean-5", "hyperbolic", "tree-tripod", "tree-5000"])
+    def test_stdout_matches_the_per_call_loop(self, capsys, tmp_path, monkeypatch, model, seed):
+        model, _, shape = model.partition("-")
+        argv = ["check-cat0", "--model", model, "--trials", "40", "--seed", str(seed)]
+        if model == "euclidean":
+            argv += ["--dim", shape]
+        if model == "tree":
+            tree = window_tree(5000, 2, 3).to_json_dict() if shape == "5000" else MetricTree(
+                ["c", "p", "q", "r"], [("c", "p", 1.0), ("c", "q", 1.0), ("c", "r", 1.0)]
+            ).to_json_dict()
+            path = tmp_path / "tree.json"
+            path.write_text(json.dumps(tree))
+            argv += ["--tree-file", str(path)]
+        swept = run(capsys, argv)
+        monkeypatch.setattr(cli, "cmd_check_cat0", per_call_check_cat0)
+        assert run(capsys, argv) == swept
+
+
+def per_call_check_cat0(ns):
+    """check-cat0 as it ran before the comparison sweep: 31 defect calls per trial and six public distances."""
+    space = cli._build_space(ns)
+    rng = np.random.default_rng(ns.seed)
+    grid = [0.0, 0.25, 0.5, 0.75, 1.0]
+    min_tri = min_quad = min_conv = float("inf")
+    ok = True
+    for _ in range(ns.trials):
+        pts = [space.random_point(rng) for _ in range(4)]
+        lam = float(rng.uniform(0.0, 1.0))
+        tri = spaces.triangle_defect(space, pts[0], pts[1], pts[2], lam)
+        quad = [spaces.quadrilateral_defect(space, *pts, t, alpha) for t in grid for alpha in grid]
+        conv = [spaces.convexity_defect(space, *pts, t) for t in grid]
+        min_tri, min_quad, min_conv = min(min_tri, tri), min(min_quad, *quad), min(min_conv, *conv)
+        d = max(space.dist(p, q) for i, p in enumerate(pts) for q in pts[i + 1:])
+        ok = ok and min(tri, *quad, *conv) >= -(1e-9 + 16 * 2.0**-52 * d * d)
+    fields = {
+        "model": ns.model,
+        "trials": ns.trials,
+        "min_triangle_defect": float(min_tri),
+        "min_quadrilateral_defect": float(min_quad),
+        "min_convexity_defect": float(min_conv),
+        "ok": ok,
+    }
+    return fields, cli.EXIT_OK if ok else cli.EXIT_PROPERTY_VIOLATION
 
 
 class TestWidthAndConvexity:

@@ -1,5 +1,5 @@
 """Property tests over every model space: JSON round trips, geodesic splits, map edge data, the trusted kernels
-and their batched geodesic kernel, and the float hyperbolic solver."""
+and their batched geodesic kernel, the comparison sweep, and the float hyperbolic solver."""
 
 import dataclasses
 import json
@@ -262,6 +262,30 @@ def test_geodesic_points_match_point_by_point(name, seed, near, scale, vertex, c
     ts = {"floats": ts, "float64s": [np.float64(t) for t in ts], "array": np.array(ts)}[form]
     expected = [exactly(space._geodesic_point(p, q, t)) for t in ts]
     assert [exactly(x) for x in space._geodesic_points(p, q, ts)] == expected
+
+
+@pytest.mark.parametrize("name", list(SPACES))
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=seeds,
+    # point k is a copy of point same[k] <= k: every pattern of coincident points
+    same=st.tuples(st.just(0), st.integers(0, 1), st.integers(0, 2), st.integers(0, 3)),
+    lam=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    grid=st.lists(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)), max_size=4),
+)
+def test_comparison_sweep_matches_the_per_call_defects(name, seed, same, lam, grid):
+    space = SPACES[name]
+    rng = np.random.default_rng(seed)
+    pts = [space.random_point(rng) for _ in range(4)]
+    pts = [pts[k] for k in same]
+    grid = [0.0, *grid, 1.0]
+    sweep = spaces.comparison_sweep(space, *pts, lam, grid)
+    assert bits(sweep.triangle) == bits(spaces.triangle_defect(space, *pts[:3], lam))
+    quad = [spaces.quadrilateral_defect(space, *pts, t, alpha) for t in grid for alpha in grid]
+    assert list(map(bits, sweep.quadrilateral)) == list(map(bits, quad))
+    assert list(map(bits, sweep.convexity)) == [bits(spaces.convexity_defect(space, *pts, t)) for t in grid]
+    assert sweep.sides == tuple(space.dist(p, q) for k, p in enumerate(pts) for q in pts[k + 1:])
+    assert repr(spaces.comparison_sweep(space, *pts, lam, iter(grid))) == repr(sweep)
 
 
 def outcome(kernel):

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -15,7 +16,9 @@ from geowidth.spaces import (
     EuclideanSpace,
     HyperbolicPlane,
     MetricTree,
+    VERTEX_SNAP,
     TreePoint,
+    comparison_sweep,
     convexity_defect,
     golden_section,
     project_to_segment,
@@ -23,7 +26,7 @@ from geowidth.spaces import (
     triangle_defect,
 )
 
-from conftest import all_model_spaces, deep_tree, readme_rep
+from conftest import all_model_spaces, deep_tree, readme_rep, window_tree
 
 
 def _edge_ends(tree: MetricTree, x: TreePoint):
@@ -433,6 +436,9 @@ class TestBoundaryChecks:
         monkeypatch.setattr(space, "_check_point", lambda p: checked.append(id(p)) or check(p))
         quadrilateral_defect(space, *pts, 0.5, 0.5)
         assert sorted(checked) == sorted(id(p) for p in pts)
+        checked.clear()
+        comparison_sweep(space, *pts, 0.5, [0.0, 0.25, 0.5, 0.75, 1.0])
+        assert sorted(checked) == sorted(id(p) for p in pts)
 
     @pytest.mark.parametrize("name", list(all_model_spaces()))
     def test_public_calls_refuse_a_foreign_point(self, name):
@@ -443,6 +449,7 @@ class TestBoundaryChecks:
             lambda: space.dist(x, p),
             lambda: space.geodesic_point(p, x, 0.5),
             lambda: space.geodesic_point(x, p, 0.0),
+            lambda: comparison_sweep(space, p, p, x, p, 0.5, [0.5]),
         ]
         for call in calls:
             with pytest.raises(ModelMismatchError):
@@ -460,6 +467,10 @@ class TestBoundaryChecks:
             quadrilateral_defect(space, P, Q, R, S, t, 0.5)
         with pytest.raises(DomainError):
             convexity_defect(space, P, Q, R, S, t)
+        with pytest.raises(DomainError):
+            comparison_sweep(space, P, Q, R, S, t, [0.5])
+        with pytest.raises(DomainError):
+            comparison_sweep(space, P, Q, R, S, 0.5, [0.0, t])
 
     def test_distances_too_large_to_square(self):
         tree = MetricTree(["a", "b", "c"], [("a", "b", 1e200), ("b", "c", 1.0)])
@@ -468,6 +479,8 @@ class TestBoundaryChecks:
             triangle_defect(tree, P, Q, R, 0.5)
         with pytest.raises(DomainError):
             quadrilateral_defect(tree, P, Q, R, P, 0.5, 0.5)
+        with pytest.raises(DomainError):
+            comparison_sweep(tree, P, Q, R, P, 0.5, [0.5])
 
 
 class TestProjection:
@@ -585,10 +598,21 @@ class TestHyperbolicLocalMin:
 
 
 # Reference builders: tree points as they were made before the trusted constructors, each through the public,
-# checking edge_point.
+# checking edge_point, and MetricTree's rooted-tree queries as they ran before heavy paths, one parent per step.
 
 
-def checked_metric_above(tree, i, h, snap):
+def climbing_lca(tree, i, j):
+    parents, levels = tree._parents, tree._levels
+    while levels[i] > levels[j]:
+        i = parents[i]
+    while levels[j] > levels[i]:
+        j = parents[j]
+    while i != j:
+        i, j = parents[i], parents[j]
+    return i
+
+
+def climbing_above(tree, i, h, snap):
     parents, heights = tree._parents, tree._heights
     while heights[i] - h > snap:
         j = parents[i]
@@ -647,7 +671,7 @@ class TestTrustedTreePoints:
         triples = [(tree.random_point(rng), tree.random_point(rng), float(rng.uniform())) for _ in range(2000)]
         triples += [(p, q, t) for p, q, _ in triples[:200] for t in (0.5, math.nextafter(1.0, 0.0))]
         got = [tree.geodesic_point(p, q, t) for p, q, t in triples]
-        monkeypatch.setattr(tree, "_above", lambda i, h, snap: checked_metric_above(tree, i, h, snap))
+        monkeypatch.setattr(tree, "_above", lambda i, h, snap: climbing_above(tree, i, h, snap))
         assert got == [tree.geodesic_point(p, q, t) for p, q, t in triples]
 
     @pytest.mark.parametrize("name", TREE_MODELS)
@@ -669,6 +693,90 @@ class TestTrustedTreePoints:
         for p, q in zip(points[:4], points[1:5]):  # the walk and its exact edge step build points too
             space.local_min(p, [(1.0, q)], [(0.5, g)])
         assert calls == []
+
+
+def root_path(tree, i):
+    path = [i]
+    while path[-1] != 0:
+        path.append(tree._parents[path[-1]])
+    return path
+
+
+def probe_heights(tree, i, j, v):
+    """The snap of a geodesic from i to j, and heights at v that i's root path holds: v's own, inside v's snap, on
+    its edge and one float outside it."""
+    heights = tree._heights
+    snap, hv = VERTEX_SNAP * max(1.0, heights[i] + heights[j]), heights[v]
+    probes = [hv, hv - 0.5 * snap, hv + 0.5 * snap, hv - 2.0 * snap, hv + 2.0 * snap]
+    for edge in (hv - snap, hv + snap):
+        probes += [edge, math.nextafter(edge, -math.inf), math.nextafter(edge, math.inf)]
+    return snap, [h for h in probes if 0.0 <= h <= heights[i]]
+
+
+class TestHeavyPaths:
+    """MetricTree's heavy-path ``_lca`` and ``_above`` against the climbs they replaced."""
+
+    @staticmethod
+    def check(tree, i, j, stops, rng):
+        assert tree._lca(i, j) == climbing_lca(tree, i, j), (i, j)
+        for v in stops:
+            snap, probes = probe_heights(tree, i, j, v)
+            probes.append(float(rng.uniform(0.0, tree._heights[i])))
+            for h in probes:
+                assert tree._above(i, h, snap) == climbing_above(tree, i, h, snap), (i, j, v, h)
+
+    @pytest.mark.parametrize("name", ["tripod", "star", "caterpillar"])
+    def test_all_vertex_pairs(self, name):
+        star = MetricTree(["l0", "c"] + [f"l{k}" for k in range(1, 7)], [("c", f"l{k}", 0.5 + k) for k in range(7)])
+        tree = star if name == "star" else all_model_spaces()[name]
+        rng = np.random.default_rng(67)
+        n = len(tree.vertices)
+        for i in range(n):
+            for j in range(n):
+                self.check(tree, i, j, root_path(tree, i), rng)
+
+    @pytest.mark.parametrize("name, pairs", [("deep-tree", 600), ("window-2", 300), ("window-24", 600)])
+    def test_seeded_pairs(self, name, pairs):
+        tree = {
+            "deep-tree": deep_tree,
+            "window-2": lambda: window_tree(5000, 2, 3),  # the tree file of tests/test_cli.py
+            "window-24": lambda: window_tree(1000, 24, 71),
+        }[name]()
+        rng = np.random.default_rng(73)
+        n = len(tree.vertices)
+        for _ in range(pairs):
+            i, j = (int(x) for x in rng.integers(n, size=2))
+            path = root_path(tree, i)
+            stops = [i, climbing_lca(tree, i, j), path[int(rng.integers(len(path)))], 0]
+            self.check(tree, i, j, stops, rng)
+
+    def test_vertex_past_the_rounded_sum_of_h_and_snap(self):
+        # h + snap rounds down to 1.0 (a tie), below vertex 1, yet heights[1] - h ties down to snap: vertex 1 is
+        # within snap of h
+        tree = MetricTree([0, 1, 2], [(0, 1, 1.0 + 2.0**-52), (1, 2, 1.0)])
+        h, snap = 2.0**-53, 1.0
+        assert h + snap < tree._heights[1] and tree._heights[1] - h <= snap
+        assert tree._above(2, h, snap) == climbing_above(tree, 2, h, snap) == TreePoint(vertex=1)
+
+    def test_hundred_thousand_deep_vertices(self):
+        # climbing one parent per step took about 10 s for these calls on a 2-core Xeon
+        tree = window_tree(100_000, 2, 79)
+        assert max(tree._levels) >= 30_000
+        rng = np.random.default_rng(83)
+
+        def point(lo, hi):
+            k = int(rng.integers(lo, hi))
+            return tree._edge_point(k, float(rng.uniform(0.0, tree.edges[k][2])))
+
+        pairs = [(point(90_000, 99_999), point(0, 10_000)) for _ in range(1000)]
+        pairs += [(point(90_000, 99_999), point(90_000, 99_999)) for _ in range(1000)]
+        t0 = time.perf_counter()
+        dists = [tree._dist(p, q) for p, q in pairs]
+        mids = [tree._geodesic_point(p, q, 0.5) for p, q in pairs]
+        elapsed = time.perf_counter() - t0
+        assert elapsed < 5.0
+        assert min(dists[:1000]) > 10_000.0
+        assert all(tree._dist(p, m) == pytest.approx(0.5 * d, abs=1e-9 * d) for (p, _), m, d in zip(pairs, mids, dists))
 
 
 # Reference local search: the candidate scan and golden section that the descent walk replaced.
