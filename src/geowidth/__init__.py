@@ -28,7 +28,6 @@ from .equivariant import (
     EquivariantMap,
     FundamentalGraph,
     GeodesicHomotopy,
-    approx_length_density,
     build_bouquet_map,
     convexity_report,
     energy,

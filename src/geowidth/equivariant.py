@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -149,37 +149,6 @@ def per_edge_table(u: EquivariantMap) -> list[dict]:
     ]
 
 
-def approx_length_density(
-    space: Space,
-    curve: Callable[[float], object],
-    a: float,
-    b: float,
-    eps: float,
-    step: float | None = None,
-):
-    """Two-sided difference-quotient speed samples of a curve on [a, b].
-
-    Returns (ts, values) at interior samples where [t-eps, t+eps] fits in
-    the interval.  Values carry the 1/2 normalization, so for a
-    constant-speed geodesic they converge to the speed as eps -> 0.
-    """
-    if eps <= 0.0:
-        raise DomainError("eps must be positive")
-    if eps > 0.5 * (b - a):
-        raise DomainError("eps larger than half the interval")
-    if step is None:
-        step = eps / 4.0
-    if step > eps / 4.0 + 1e-15:
-        raise DomainError("sample step must resolve eps (step <= eps/4)")
-    ts = np.arange(a + eps, b - eps + step * 0.5, step)
-    vals = np.empty_like(ts)
-    for i, t in enumerate(ts):
-        fwd = space.dist(curve(t), curve(t + eps))
-        bwd = space.dist(curve(t), curve(t - eps))
-        vals[i] = (fwd + bwd) / (2.0 * eps)
-    return ts, vals
-
-
 class GeodesicHomotopy:
     """The geodesic homotopy between two maps over the same graph and rho.
 
@@ -202,10 +171,6 @@ class GeodesicHomotopy:
         self.space._check_t(s)
         return self.space._geodesic_point(self.u.at(k, x), self.v.at(k, x), s)
 
-    def map_at(self, s: float) -> EquivariantMap:
-        """The intermediate map with vertex images interpolated at fraction s."""
-        return next(self.maps_at((s,)))[1]
-
     def maps_at(self, s_grid: Iterable[float]):
         """(s, intermediate map) for each s of s_grid, made one by one from each vertex's track, taken once."""
         s_grid = tuple(s_grid)
@@ -215,10 +180,6 @@ class GeodesicHomotopy:
         vs = self.u.graph.vertices
         tracks = [self.space._geodesic_points(self.u.images[w], self.v.images[w], s_grid) for w in vs]
         return ((s, self.u.with_images(dict(zip(vs, images)))) for s, *images in zip(s_grid, *tracks))
-
-    def track_length(self, k: int, x: float) -> float:
-        """l_H at the point of edge k at fraction x: dist(u(x), v(x))."""
-        return self.track_lengths(k, (x,))[0]
 
     def track_lengths(self, k: int, xs: Sequence[float]) -> list[float]:
         """l_H at the points of edge k at fractions xs; edge k's u- and v-segments are each sampled once."""

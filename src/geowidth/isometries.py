@@ -213,13 +213,6 @@ class HyperbolicIsometry(Isometry):
     def is_hyperbolic(self) -> bool:
         return abs(self.trace) > 2.0 + TOL
 
-    def translation_length(self) -> float:
-        """2 arccosh(|trace|/2) for hyperbolic elements, else 0."""
-        h = abs(self.trace) / 2.0
-        if h <= 1.0:
-            return 0.0
-        return 2.0 * math.acosh(h)
-
     def shares_fixed_end(self, other: "HyperbolicIsometry") -> bool:
         """Whether g and h fix a common point of H^2 or its boundary: tr[g, h] = 2 (Beardon 1983).
 
@@ -323,11 +316,6 @@ class CayleyTranslation(Isometry):
     def shares_fixed_end(self, other: "CayleyTranslation") -> bool:
         """Whether self and other fix a common end; in a free action, whether they commute."""
         return words.multiply(self.word, other.word) == words.multiply(other.word, self.word)
-
-    def translation_length(self) -> int:
-        """Length of the cyclic reduction (the tree translation length)."""
-        _, core = words.cyclic_reduction(self.word)
-        return len(core)
 
 
 #: the isometry family of each space model

@@ -33,11 +33,11 @@ point once and then call only the kernels, as do the library's own callers
 (map measurement, homotopies, widths, relaxation, orbit distances).
 ``_geodesic_points(p, q, ts)`` is ``_geodesic_point`` at each t, bit for
 bit, doing once what does not depend on t; the widths and convexity reports
-use it.  Each model supplies ``_span`` and ``_step``, and ``Space`` owns the
-endpoint rules and both loops.  The check is the model's ``_check_point``:
-``validate_point`` on the tree models and Euclidean space, type and shape
-only on the hyperbolic plane, whose isometry images drift off the sheet in
-the last digits.  Tree points come from one trusted constructor per tree
+use it.  Each model supplies ``_span``, ``_step`` and ``_foot``, and
+``Space`` owns the endpoint rules and both loops.  The check is the model's
+``_check_point``: ``validate_point`` on the tree models and Euclidean space,
+type and shape only on the hyperbolic plane, whose isometry images drift off
+the sheet in the last digits.  Tree points come from one trusted constructor per tree
 model, ``_edge_point``; the public ``edge_point`` checks through
 ``validate_point`` first.  The hyperbolic kernels and local solver run on
 Python floats, with numpy's operations in the same order; only the solver's
@@ -58,6 +58,10 @@ JSON forms::
 On top of the interface the module provides the comparison-inequality
 defect functionals (triangle comparison, quadrilateral comparison,
 distance convexity) and nearest-point projection onto a geodesic segment.
+The nearest point is unique, and d(a, b), d(a, y) and d(b, y) fix it
+(Bridson & Haefliger II.2.4): the model's ``_foot`` gives its arclength from
+a in closed form, by the law of cosines in Euclidean space, hyperbolic
+Pythagoras on the hyperbolic plane and the Gromov product on the trees.
 Defects are signed: nonnegative means the inequality holds.
 ``comparison_sweep`` gives one quadruple's triangle defect and its
 quadrilateral and convexity defects over a grid, bit for bit as the
@@ -72,7 +76,7 @@ import bisect
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -81,31 +85,12 @@ from .errors import CapabilityError, DomainError, InvalidPointError, ModelMismat
 
 TOL = 1e-9
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # golden-section step ratio
-
 INNER_TOLERANCE = 1e-12  # hyperbolic local_min: least relative decrease
 ARMIJO_BACKTRACK = 0.5  # step shrink factor of the hyperbolic line search
 ARMIJO_SLOPE = 1e-4  # sufficient-decrease constant of that line search
 MAX_INNER_ITERATIONS = 500  # gradient steps per hyperbolic update
 BOUNDARY_SEARCH_RADIUS = 3  # check_not_boundary_fixing: longest word searched
 VERTEX_SNAP = 1e-15  # tree geodesic_point: a vertex this near, per unit of height, is returned
-
-
-def golden_section(f: Callable[[float], float], a: float, b: float, tol: float = 1e-10) -> float:
-    """Argmin of a unimodal (convex) function on [a, b]."""
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +133,9 @@ class Space:
     the geodesic p -> q needs apart from t, or None when it has length 0;
     and ``_step(span, t)``, the point at 0 < t < 1.  ``Space`` owns the
     endpoint rules (t = 0 gives p, t = 1 gives q, length 0 gives p) and the
-    scalar and batch loops over them.
+    scalar and batch loops over them.  A model also supplies the static
+    ``_foot(d, d_a, d_b)``: the arclength from a of the point of the geodesic
+    a -> b nearest y, unclamped, from d(a, b) > 0, d(a, y) and d(b, y).
     """
 
     model = "abstract"
@@ -192,9 +179,6 @@ class Space:
     def _check_point(self, p) -> None:
         """The check that ``dist``, ``geodesic_point`` and the defects make on each point."""
         self.validate_point(p)
-
-    def same_point(self, p, q, tol: float = TOL) -> bool:
-        return self.dist(p, q) <= tol
 
     def _check_t(self, t: float) -> None:
         if not (0.0 <= t <= 1.0):
@@ -300,6 +284,11 @@ class EuclideanSpace(Space):
     def _step(self, span: tuple, t: float):
         p, q = span
         return (1.0 - t) * p + t * q
+
+    @staticmethod
+    def _foot(d: float, d_a: float, d_b: float) -> float:
+        """The law of cosines: (d_a^2 - d_b^2 + d^2) / 2d."""
+        return 0.5 * ((d_a - d_b) * (d_a + d_b) / d + d)
 
     def _geodesic_points(self, p, q, ts) -> list:
         """A float64 batch is np.outer(1 - t, p) + np.outer(t, q), the products and sums of ``_geodesic_point``;
@@ -469,6 +458,18 @@ class HyperbolicPlane(Space):
         a, b = math.sinh((1.0 - t) * d) / s, math.sinh(t * d) / s
         return np.array(_sheet(a * p0 + b * q0, a * p1 + b * q1, a * p2 + b * q2))
 
+    @staticmethod
+    def _foot(d: float, d_a: float, d_b: float) -> float:
+        """Hyperbolic Pythagoras, cosh d_a = cosh h cosh x and cosh d_b = cosh h cosh(d - x) with h = d(y, foot):
+        with r = cosh d_b / cosh d_a, e^2x = (e^d - r) / (r - e^-d).  The textbook
+        atanh((cosh d_a cosh d - cosh d_b) / (cosh d_a sinh d)) is not used: its argument can round to 1 or beyond."""
+        r, up, down = math.cosh(d_b) / math.cosh(d_a), math.exp(d), math.exp(-d)
+        if up - r <= 0.0:
+            return 0.0
+        if r - down <= 0.0:
+            return d
+        return 0.5 * math.log((up - r) / (r - down))
+
     def from_polar(self, radius: float, angle: float) -> np.ndarray:
         return np.array(
             [math.cosh(radius), math.sinh(radius) * math.cos(angle), math.sinh(radius) * math.sin(angle)]
@@ -478,13 +479,6 @@ class HyperbolicPlane(Space):
         r = min(float(rng.exponential(1.0)), self.RADIUS_CAP)
         theta = float(rng.uniform(0.0, 2.0 * math.pi))
         return self.from_polar(r, theta)
-
-    # tangent-space helpers used by the harmonic relaxation ----------------
-
-    def exp(self, p, v: np.ndarray) -> np.ndarray:
-        q = p.tolist()
-        y = _h_exp(q, v.tolist())
-        return p if y is q else np.array(y)
 
     def local_min(self, y0, point_terms, iso_terms):
         """Riemannian gradient descent with Armijo backtracking, on floats converted once at entry.
@@ -570,6 +564,11 @@ class _TreeSpace(Space):
         if target <= up:
             return self._above(x, hp - target, snap)
         return self._above(y, hq - (total - target), snap)
+
+    @staticmethod
+    def _foot(d: float, d_a: float, d_b: float) -> float:
+        """The Gromov product (d_a - d_b + d) / 2."""
+        return 0.5 * (d_a - d_b + d)
 
     def local_min(self, y0, point_terms, iso_terms):
         """Walk downhill from y0 vertex to vertex, then minimise exactly on each edge out of where it stopped.
@@ -1075,18 +1074,13 @@ def comparison_sweep(space: Space, P, Q, R, S, lam: float, grid) -> ComparisonSw
 def project_to_segment(space: Space, a, b, y):
     """Nearest point on the geodesic segment [a, b] to y, with its parameter.
 
-    The objective s -> dist(y, geodesic_point(a, b, s)) is convex on a
-    CAT(0) space, so golden-section search finds the global minimum.
+    In a CAT(0) space the nearest point is unique, and three distances fix
+    it: the model's ``_foot(d(a, b), d(a, y), d(b, y))`` is its arclength
+    from a, clamped onto the segment.  A segment of length 0 gives (a, 0).
     """
     _check_points(space, a, b, y)
-
-    def objective(s: float) -> float:
-        return space._dist(y, space._geodesic_point(a, b, s))
-
-    s_star = golden_section(objective, 0.0, 1.0)
-    # snap to the endpoints when the optimum sits on the boundary
-    if objective(0.0) <= objective(s_star):
-        s_star = 0.0
-    elif objective(1.0) <= objective(s_star):
-        s_star = 1.0
-    return space._geodesic_point(a, b, s_star), s_star
+    d = space._dist(a, b)
+    if d == 0.0:
+        return a, 0.0
+    s = min(max(space._foot(d, space._dist(a, y), space._dist(b, y)) / d, 0.0), 1.0)
+    return space._geodesic_point(a, b, s), s

@@ -8,7 +8,6 @@ from geowidth.equivariant import (
     EquivariantMap,
     FundamentalGraph,
     GeodesicHomotopy,
-    approx_length_density,
     bouquet_graph,
     build_bouquet_map,
     convexity_report,
@@ -106,27 +105,6 @@ class TestMapLengthEnergy:
             EquivariantMap(bouquet_graph(2), z2_rep, {"v": np.zeros(2), "w": np.zeros(2)})
 
 
-class TestLengthDensity:
-    def test_constant_speed_geodesic(self):
-        space = HyperbolicPlane()
-        p = space.point([1.0, 0.0, 0.0])
-        q = space.from_polar(2.0, 0.3)
-        speed = space.dist(p, q)
-        ts, vals = approx_length_density(
-            space, lambda t: space.geodesic_point(p, q, t), 0.0, 1.0, eps=1e-4
-        )
-        assert len(ts) > 10
-        assert np.max(np.abs(vals - speed)) <= 1e-6 * max(1.0, speed)
-
-    def test_eps_validation(self):
-        space = EuclideanSpace(2)
-        curve = lambda t: np.array([t, 0.0])
-        with pytest.raises(DomainError):
-            approx_length_density(space, curve, 0.0, 1.0, eps=0.6)
-        with pytest.raises(DomainError):
-            approx_length_density(space, curve, 0.0, 1.0, eps=0.1, step=0.05)
-
-
 class TestHomotopy:
     def hyp_theta_maps(self):
         space = HyperbolicPlane()
@@ -150,7 +128,7 @@ class TestHomotopy:
     def test_endpoints(self):
         u, v = self.hyp_theta_maps()
         h = GeodesicHomotopy(u, v)
-        m0, m1 = h.map_at(0.0), h.map_at(1.0)
+        (_, m0), (_, m1) = h.maps_at((0.0, 1.0))
         for w in u.graph.vertices:
             assert u.space.dist(m0.images[w], u.images[w]) <= 1e-12
             assert u.space.dist(m1.images[w], v.images[w]) <= 1e-12
@@ -161,7 +139,7 @@ class TestHomotopy:
             with pytest.raises(DomainError):
                 h.at(s, 0, 0.5)
             with pytest.raises(DomainError):
-                h.map_at(s)
+                h.maps_at((s,))
 
     def test_width_inf_endpoint_reduction(self):
         u, v = self.hyp_theta_maps()
@@ -173,9 +151,8 @@ class TestHomotopy:
         assert w >= vertex_max - 1e-12
         # convexity puts each edge's largest track at an endpoint
         for k in range(len(u.graph.edges)):
-            end_max = max(h.track_length(k, 0.0), h.track_length(k, 1.0))
-            for i in range(1, 50):
-                assert h.track_length(k, i / 50) <= end_max + 1e-9
+            end_max = max(h.track_lengths(k, (0.0, 1.0)))
+            assert max(h.track_lengths(k, [i / 50 for i in range(1, 50)])) <= end_max + 1e-9
 
     def test_width_2_euclidean_hand_value(self, z2_rep):
         # single unit loop, track length constant = 3: W2 = 3

@@ -81,7 +81,6 @@ class TestHyperbolicIsometry:
         img = g.apply(o)
         assert np.allclose(img, [math.cosh(2.0), math.sinh(2.0), 0.0])
         assert space.dist(o, img) == pytest.approx(2.0, abs=1e-12)
-        assert g.translation_length() == pytest.approx(2.0, abs=1e-12)
 
     def test_preserves_hyperboloid_and_distance(self):
         g = HyperbolicIsometry([[2.0, 1.0], [1.0, 1.0]])
@@ -114,7 +113,6 @@ class TestHyperbolicIsometry:
         assert HyperbolicIsometry([[2.0, 1.0], [1.0, 1.0]]).is_hyperbolic()
         rot = HyperbolicIsometry(rotation2(0.5))  # elliptic
         assert not rot.is_hyperbolic()
-        assert rot.translation_length() == 0.0
 
     def test_saved_matrices_load_exactly(self):
         # a matrix that its own normalisation left has determinant 1 to within that rounding
@@ -221,12 +219,6 @@ class TestCayleyTranslation:
         for _ in range(50):
             p, q = tree.random_point(rng), tree.random_point(rng)
             assert tree.dist(g.apply(p), g.apply(q)) == pytest.approx(tree.dist(p, q))
-
-    def test_translation_length_is_cyclic_length(self):
-        tree = CayleyTree(2)
-        assert CayleyTranslation(tree, (1, 2)).translation_length() == 2
-        assert CayleyTranslation(tree, (-2, 1, 1, 2)).translation_length() == 2
-        assert CayleyTranslation(tree, ()).translation_length() == 0
 
     def test_alphabet_guard(self):
         with pytest.raises(AlphabetMismatchError):

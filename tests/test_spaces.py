@@ -20,7 +20,6 @@ from geowidth.spaces import (
     TreePoint,
     comparison_sweep,
     convexity_defect,
-    golden_section,
     project_to_segment,
     quadrilateral_defect,
     triangle_defect,
@@ -141,8 +140,8 @@ class TestGeodesicPoint:
         space = all_model_spaces()[name]
         rng = np.random.default_rng(3)
         p, q = space.random_point(rng), space.random_point(rng)
-        assert space.same_point(space.geodesic_point(p, q, 0.0), p, tol=0)
-        assert space.same_point(space.geodesic_point(p, q, 1.0), q, tol=0)
+        assert space.dist(space.geodesic_point(p, q, 0.0), p) == 0.0
+        assert space.dist(space.geodesic_point(p, q, 1.0), q) == 0.0
 
     def test_tree_midpoint_is_shared_vertex(self):
         tree = MetricTree(["a", "v", "b"], [("a", "v", 1.0), ("v", "b", 1.0)])
@@ -507,7 +506,7 @@ class TestProjection:
         assert proj == tree.vertex_point("m")
         assert t == pytest.approx(0.5, abs=1e-8)
 
-    @pytest.mark.parametrize("name", ["euclid2", "hyperbolic", "caterpillar"])
+    @pytest.mark.parametrize("name", list(all_model_spaces()))
     def test_against_grid_scan(self, name):
         space = all_model_spaces()[name]
         rng = np.random.default_rng(23)
@@ -519,6 +518,32 @@ class TestProjection:
             )
             found = space.dist(y, space.geodesic_point(a, b, t))
             assert found <= best + 1e-8
+
+    @pytest.mark.parametrize("name", list(all_model_spaces()))
+    def test_closed_form_against_golden_section(self, name):
+        space = all_model_spaces()[name]
+        rng = np.random.default_rng(29)
+        triples = [tuple(space.random_point(rng) for _ in range(3)) for _ in range(200)]
+        a, b, y = triples[0]
+        mid = space.geodesic_point(a, b, 0.5)
+        # y = a, y = b, a = b, y on the segment, and a foot past the end of [a, mid]
+        triples += [(a, b, a), (a, b, b), (a, a, y), (a, b, space.geodesic_point(a, b, 0.3)), (a, mid, b)]
+        if name == "hyperbolic":
+            triples.append((space.from_polar(10.0, math.pi), space.from_polar(10.0, 0.0), space.from_polar(10.0, 0.01)))
+        for a, b, y in triples:
+            proj, t = project_to_segment(space, a, b, y)
+            assert 0.0 <= t <= 1.0
+            assert space.dist(proj, space.geodesic_point(a, b, t)) == 0.0
+            bound = 1e-12 * max(1.0, space.dist(a, b))
+            assert space.dist(y, proj) <= reference_projection_dist(space, a, b, y) + bound
+
+    def test_hyperbolic_foot_far_past_the_end(self):
+        # the textbook atanh((cosh d_a cosh d - cosh d_b) / (cosh d_a sinh d)) rounds its argument to >= 1 here
+        space = HyperbolicPlane()
+        a, b, y = space.from_polar(10.0, math.pi), space.from_polar(9.6, 0.0), space.from_polar(10.0, 0.0)
+        proj, t = project_to_segment(space, a, b, y)
+        assert t == 1.0
+        assert proj is b
 
 
 class TestConstruction:
@@ -779,7 +804,38 @@ class TestHeavyPaths:
         assert all(tree._dist(p, m) == pytest.approx(0.5 * d, abs=1e-9 * d) for (p, _), m, d in zip(pairs, mids, dists))
 
 
-# Reference local search: the candidate scan and golden section that the descent walk replaced.
+# Referees: the golden-section search that the tree descent walk and the closed-form projection replaced, and the
+# candidate scan of the old tree local search.
+
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # golden-section step ratio
+
+
+def golden_section(f, a: float, b: float, tol: float) -> float:
+    """Argmin of a unimodal (convex) function on [a, b]."""
+    c = b - _INV_PHI * (b - a)
+    d = a + _INV_PHI * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > tol:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - _INV_PHI * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INV_PHI * (b - a)
+            fd = f(d)
+    return 0.5 * (a + b)
+
+
+def reference_projection_dist(space, a, b, y):
+    """d(y, [a, b]) by the search that ``project_to_segment`` replaced: golden section to 1e-10, then the ends.
+
+    At radius 10 on the hyperbolic plane ``_dist`` rounds by a few 1e-10, and a finer search finds points that
+    only read nearer."""
+    def objective(s):
+        return space._dist(y, space._geodesic_point(a, b, s))
+
+    return min(objective(0.0), objective(golden_section(objective, 0.0, 1.0, 1e-10)), objective(1.0))
 
 
 def reference_segment_min(space, a, b, f):
