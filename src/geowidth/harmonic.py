@@ -8,13 +8,14 @@ convex objective
 
 where the p_j are the rho-translated neighbour images and the A_k come
 from loop edges.  A run reads the start map's edge isometries into a term
-table and builds one map per sweep.  The inner solver belongs to
-the model space (``Space.local_min`` in :mod:`geowidth.spaces`), as does
-the non-elementarity precondition of the width-constant estimator.
+table and builds one map per sweep.  Two point terms alone have a closed
+form (see ``relax``); other updates run the model's ``Space.local_min``,
+and the model owns the estimator's non-elementarity precondition too.
 """
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -28,7 +29,7 @@ from .equivariant import (
     homotopy_width_inf,
     length,
 )
-from .errors import DomainError, PreconditionError
+from .errors import DomainError, InvalidPointError, PreconditionError
 from .isometries import Representation
 
 PROBE_DIRECTIONS = 16  # stationarity_probe: random directions tried per vertex
@@ -80,7 +81,12 @@ def _local_terms(terms, images: dict):
 
 
 def relax(u0: EquivariantMap, cfg: RelaxationConfig | None = None) -> HarmonicResult:
-    """Cyclic coordinate descent to a harmonic map: u0's isometries in one term table, one map per sweep."""
+    """Cyclic coordinate descent to a harmonic map: u0's isometries in one term table, one map per sweep.
+
+    An update with two point terms (w1, p1), (w2, p2) and no loop term goes to the point at w2 / (w1 + w2) of the
+    geodesic [p1, p2]: a = d(y, p1) and b = d(y, p2) have a + b >= d(p1, p2), with equality only on that unique
+    geodesic, and F_v = w1 a^2 + w2 b^2 with a + b = d(p1, p2) is least there.  Where that point raises (a far
+    hyperbolic pair), ``local_min`` runs, as it does for every other update."""
     cfg = cfg or RelaxationConfig()
     space = u0.space
     table = _term_table(u0)
@@ -91,8 +97,13 @@ def relax(u0: EquivariantMap, cfg: RelaxationConfig | None = None) -> HarmonicRe
         max_disp = 0.0
         for v, terms in table.items():
             point_terms, iso_terms = _local_terms(terms, images)
-            y_old = images[v]
-            y_new = space.local_min(y_old, point_terms, iso_terms)
+            y_old, y_new = images[v], None
+            if len(point_terms) == 2 and not iso_terms:
+                (w1, p1), (w2, p2) = point_terms
+                with contextlib.suppress(InvalidPointError, OverflowError):  # a far hyperbolic pair: local_min below
+                    y_new = space._geodesic_point(p1, p2, w2 / (w1 + w2))
+            if y_new is None:
+                y_new = space.local_min(y_old, point_terms, iso_terms)
             # guard: never accept an increase of the local objective
             if space.local_value(y_new, point_terms, iso_terms) > space.local_value(y_old, point_terms, iso_terms):
                 y_new = y_old

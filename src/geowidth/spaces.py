@@ -12,8 +12,9 @@ Each model owns its behaviour: ``dist``, ``geodesic_point`` and
 ``random_point``; its JSON form and that of its points (``to_json``,
 ``point_to_json``, ``point_from_json``, and ``space_from_json``, which
 turns a JSON ``"model"`` into its class); the local minimiser that
-harmonic relaxation runs on it (``local_min(y0, point_terms, iso_terms)``,
-whose solver constants are module constants); and the precondition of the
+harmonic relaxation runs at a vertex with a loop or with other than two
+edges (``local_min(y0, point_terms, iso_terms)``, whose solver constants
+are module constants); and the precondition of the
 width-constant estimator (``check_not_boundary_fixing``: on the hyperbolic
 plane and the Cayley tree, one search for two hyperbolic elements with no
 common fixed end).  An operation a model does not support raises

@@ -1,11 +1,13 @@
 import json
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from geowidth import harmonic
 from geowidth.cli import main
 from geowidth.equivariant import (
     Edge,
@@ -15,7 +17,7 @@ from geowidth.equivariant import (
     energy,
     length,
 )
-from geowidth.errors import CapabilityError, DomainError, PreconditionError
+from geowidth.errors import CapabilityError, DomainError, InvalidPointError, PreconditionError
 from geowidth.harmonic import (
     RelaxationConfig,
     check_not_boundary_fixing,
@@ -27,6 +29,7 @@ from geowidth.harmonic import (
     verify_harmonic_homotopy,
 )
 from geowidth.isometries import (
+    FAMILIES,
     EuclideanIsometry,
     HyperbolicIsometry,
     Representation,
@@ -34,7 +37,7 @@ from geowidth.isometries import (
 )
 from geowidth.spaces import CayleyTree, EuclideanSpace, HyperbolicPlane, MetricTree
 
-from conftest import parabolic_rep, readme_rep
+from conftest import all_model_spaces, parabolic_rep, readme_rep
 
 
 #: z -> 2z and z -> 2z + 1: two hyperbolic elements that share the fixed end inf
@@ -194,6 +197,193 @@ def cycle_graph(size):
     return FundamentalGraph(list(range(size)), edges)
 
 
+def tripod_rep():
+    """The tripod of the acceptance suite under its 3-cycle and one swap of legs."""
+    tripod = MetricTree(["c", "p", "q", "r"], [("c", "p", 1.0), ("c", "q", 1.0), ("c", "r", 1.0)])
+    gens = [
+        TreeAutomorphism(tripod, {"c": "c", "p": "q", "q": "r", "r": "p"}),
+        TreeAutomorphism(tripod, {"c": "c", "p": "q", "q": "p", "r": "r"}),
+    ]
+    return Representation(tripod, gens, check_samples=10)
+
+
+def twenty_edge_rep():
+    """The acceptance suite's heap-shaped 20-edge tree under two identity generators."""
+    tree = MetricTree(list(range(21)), [(i, (i - 1) // 2, 0.5 + 0.35 * (i % 5)) for i in range(1, 21)])
+    return Representation(tree, [TreeAutomorphism.identity(tree)] * 2, check_samples=10)
+
+
+def euclidean_rep():
+    c, s = math.cos(0.7), math.sin(0.7)
+    gens = [EuclideanIsometry([[c, -s], [s, c]], [1.0, 0.5]), EuclideanIsometry(np.eye(2), [0.0, 1.0])]
+    return Representation(EuclideanSpace(2), gens, check_samples=10)
+
+
+def free_rank2_rep():
+    return Representation.free_on_cayley_tree(2)
+
+
+def seeded_cycle_map(rho, size):
+    rng = np.random.default_rng(size)
+    return EquivariantMap(cycle_graph(size), rho, {v: rho.space.random_point(rng) for v in range(size)})
+
+
+def theta_graph():
+    """Two vertices joined by three edges: three point terms at each vertex."""
+    return FundamentalGraph([0, 1], [Edge(0, 1, 1.0, ()), Edge(0, 1, 1.0, (1,)), Edge(1, 0, 1.0, (2,))])
+
+
+def looped_digon():
+    """Two vertices joined by two edges, and a loop at vertex 0: two point terms each, and a loop term at 0."""
+    return FundamentalGraph([0, 1], [Edge(0, 1, 1.0, ()), Edge(1, 0, 1.0, (1,)), Edge(0, 0, 1.0, (2,))])
+
+
+def referee_relax(u0, cfg):
+    """relax with every update by the model's local_min, as before two-term updates had a closed form."""
+    space = u0.space
+    table = harmonic._term_table(u0)
+    images = dict(u0.images)
+    trace = [energy(u0)]
+    for _ in range(cfg.max_iterations):
+        max_disp = 0.0
+        for v, terms in table.items():
+            point_terms, iso_terms = harmonic._local_terms(terms, images)
+            y_old = images[v]
+            y_new = space.local_min(y_old, point_terms, iso_terms)
+            if space.local_value(y_new, point_terms, iso_terms) > space.local_value(y_old, point_terms, iso_terms):
+                y_new = y_old
+            max_disp = max(max_disp, space._dist(y_old, y_new))
+            images[v] = y_new
+        trace.append(energy(u0.with_images(images)))
+        if max_disp < cfg.displacement_tolerance:
+            break
+    return trace
+
+
+MODELS = all_model_spaces()
+
+
+def relax_vertex_zero(space, y0, p1, p2, w1, w2):
+    """One sweep of relax on a 3-cycle of unlabelled edges: vertex 0's point terms and its new image.
+
+    Vertex 0 is updated first.  Its terms are (w1, p1) and (w2, p2) up to the rounding of 1 / (1 / w) and of the
+    identity labels.  with_images places the points, as validate_point refuses far hyperbolic ones (ROADMAP item 11)."""
+    rho = Representation(space, [FAMILIES[space.model].identity(space)], check_samples=0)
+    graph = FundamentalGraph([0, 1, 2], [Edge(0, 1, 1.0 / w1, ()), Edge(1, 2, 1.0, ()), Edge(2, 0, 1.0 / w2, ())])
+    u0 = EquivariantMap(graph, rho, dict.fromkeys(range(3), y0)).with_images({0: y0, 1: p1, 2: p2})
+    terms, iso_terms = harmonic._local_terms(harmonic._term_table(u0)[0], u0.images)
+    assert iso_terms == []
+    return terms, relax(u0, RelaxationConfig(max_iterations=1)).map.images[0]
+
+
+def precise_value(space, y, terms):
+    """F(y) over point terms, in 50-digit decimals on the hyperbolic plane and by ``local_value`` elsewhere.
+
+    The float hyperbolic distance cancels terms of size e^r, so float F rounds by up to 2e-9 relative for the
+    pairs drawn below (d = 10.5), far above the 1e-12 that the referees allow; on the other models it rounds by
+    less than 1e-15.  Each point is scaled onto the sheet, and d = acosh <p, q>."""
+    if not isinstance(space, HyperbolicPlane):
+        return space.local_value(y, terms, [])
+    with localcontext() as ctx:
+        ctx.prec = 50
+
+        def on_sheet(p):
+            x0, x1, x2 = (Decimal(float(c)) for c in p)
+            n = (x0 * x0 - x1 * x1 - x2 * x2).sqrt()
+            return x0 / n, x1 / n, x2 / n
+
+        y0, y1, y2 = on_sheet(y)
+        total = Decimal(0)
+        for w, p in terms:
+            p0, p1, p2 = on_sheet(p)
+            c = max(Decimal(1), y0 * p0 - y1 * p1 - y2 * p2)
+            total += Decimal(w) * (c + (c * c - 1).sqrt()).ln() ** 2
+        return float(total)
+
+
+class TestTwoTermUpdate:
+    """Two point terms and no loop term: the point at w2 / (w1 + w2) of [p1, p2] minimises F."""
+
+    @staticmethod
+    def assert_least(space, terms, y, rng):
+        f = precise_value(space, y, terms)
+        slack = 1e-12 * max(1.0, f)
+        assert f <= precise_value(space, space.local_min(terms[0][1], terms, []), terms) + slack
+        for _ in range(8):
+            nearby = space._geodesic_point(y, space.random_point(rng), float(rng.uniform(1e-4, 1e-2)))
+            assert f <= precise_value(space, nearby, terms) + slack
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(MODELS)),
+        seed=st.integers(0, 2**32 - 1),
+        w1=st.floats(0.1, 10.0),
+        w2=st.floats(0.1, 10.0),
+        same=st.booleans(),
+    )
+    def test_no_nearby_point_and_no_local_min_is_lower(self, name, seed, w1, w2, same):
+        space = MODELS[name]
+        rng = np.random.default_rng(seed)
+        p1 = space.random_point(rng)
+        p2 = p1 if same else space.random_point(rng)
+        terms, y = relax_vertex_zero(space, p1, p1, p2, w1, w2)
+        self.assert_least(space, terms, y, rng)
+
+    @pytest.mark.parametrize("w1, w2", [(1.0, 1.0), (0.3, 7.0), (7.0, 0.3)])
+    @pytest.mark.parametrize(
+        "name, ends",
+        [
+            ("tripod", lambda t: (t.vertex_point("p"), t.vertex_point("q"))),
+            ("tripod", lambda t: (t.edge_point(0, 0.4), t.edge_point(2, 0.9))),
+            ("cayley2", lambda t: (t.vertex_point((1,)), t.edge_point((2,), 1, 0.5))),
+        ],
+        ids=["leaves", "legs", "cayley"],
+    )
+    def test_tree_pairs_that_meet_at_a_vertex(self, name, ends, w1, w2):
+        space = MODELS[name]
+        p1, p2 = ends(space)
+        terms, y = relax_vertex_zero(space, p1, p1, p2, w1, w2)
+        (w1, _), (w2, _) = terms
+        d = space._dist(p1, p2)
+        assert space._dist(p1, y) == pytest.approx(w2 / (w1 + w2) * d, abs=1e-12)
+        assert space._dist(y, p2) == pytest.approx(w1 / (w1 + w2) * d, abs=1e-12)
+        self.assert_least(space, terms, y, np.random.default_rng(3))
+
+    def test_far_hyperbolic_pair_falls_back_to_local_min(self):
+        # d(p, q) = 39.65: the geodesic point at t = 1/64 rounds off the sheet and raises
+        space = HyperbolicPlane()
+        p, q, y0 = space.from_polar(20.0, 0.0), space.from_polar(20.0, 2.0), space.point([1.0, 0.0, 0.0])
+        terms, y = relax_vertex_zero(space, y0, p, q, 63.0, 1.0)
+        (w1, p1), (w2, p2) = terms
+        assert w2 / (w1 + w2) == 1.0 / 64.0
+        with pytest.raises(InvalidPointError):
+            space._geodesic_point(p1, p2, 1.0 / 64.0)
+        expected = space.local_min(y0, terms, [])
+        assert space.local_value(expected, terms, []) < space.local_value(y0, terms, [])
+        assert np.array_equal(y, expected)
+
+
+class TestRelaxCycles:
+    @pytest.mark.parametrize(
+        "rep",
+        [readme_rep, parabolic_rep, free_rank2_rep, tripod_rep, twenty_edge_rep],
+        ids=["readme", "parabolic", "free2", "tripod", "tree20"],
+    )
+    def test_no_higher_than_local_min_everywhere(self, rep):
+        u0 = seeded_cycle_map(rep(), 8)
+        cfg = RelaxationConfig()
+        r = relax(u0, cfg)
+        referee = referee_relax(u0, cfg)
+        assert r.converged
+        assert r.e_star <= referee[-1] + 1e-12 * max(1.0, r.e_star)
+        trace = r.energy_trace
+        assert all(b <= a + 1e-12 * max(1.0, a) for a, b in zip(trace, trace[1:]))
+
+
+#: a cycle or theta graph on each of these reaches every model's local_min
+WORK_REPS, WORK_IDS = [readme_rep, free_rank2_rep, tripod_rep, euclidean_rep], ["readme", "free2", "tripod", "euclid2"]
+
+
 class TestRelaxWork:
     @pytest.mark.parametrize("size", [8, 32])
     def test_sweeps_are_linear_in_edges(self, monkeypatch, size):
@@ -221,6 +411,36 @@ class TestRelaxWork:
             r = relax(u0, RelaxationConfig(max_iterations=sweeps))
             assert r.iterations == sweeps
             assert counts == {"evaluate": len(u0.graph.edges), "map": 1}
+
+    @staticmethod
+    def count_local_min(monkeypatch):
+        calls = []
+        for cls in (EuclideanSpace, HyperbolicPlane, MetricTree, CayleyTree):
+
+            def counted(self, y0, point_terms, iso_terms, _local_min=cls.local_min):
+                calls.append(self.model)
+                return _local_min(self, y0, point_terms, iso_terms)
+
+            monkeypatch.setattr(cls, "local_min", counted)
+        return calls
+
+    @pytest.mark.parametrize("rep", WORK_REPS, ids=WORK_IDS)
+    def test_cycles_never_call_local_min(self, monkeypatch, rep):
+        calls = self.count_local_min(monkeypatch)
+        r = relax(seeded_cycle_map(rep(), 8), RelaxationConfig(max_iterations=20))
+        assert r.iterations > 1
+        assert calls == []
+
+    @pytest.mark.parametrize("graph, per_sweep", [(theta_graph, 2), (looped_digon, 1)], ids=["theta", "loop"])
+    @pytest.mark.parametrize("rep", WORK_REPS, ids=WORK_IDS)
+    def test_loops_and_three_edges_call_local_min_every_sweep(self, monkeypatch, rep, graph, per_sweep):
+        # the theta graph's two vertices have three edges each; the digon's vertex 0 has a loop
+        calls = self.count_local_min(monkeypatch)
+        rho = rep()
+        rng = np.random.default_rng(4)
+        u0 = EquivariantMap(graph(), rho, {0: rho.space.random_point(rng), 1: rho.space.random_point(rng)})
+        r = relax(u0, RelaxationConfig(max_iterations=20))
+        assert calls == [rho.space.model] * (per_sweep * r.iterations)
 
     @pytest.mark.parametrize("tolerance", [0.0, -1e-10, float("nan")])
     def test_config_refuses_a_tolerance_that_is_not_positive(self, tolerance):
