@@ -7,8 +7,10 @@ images[src] to rho(label) . images[tgt].  Everything else (length, energy,
 geodesic homotopies, the W2 and Winf widths, convexity reports) is
 computed from this finite description.  The constructor evaluates each
 label once, into ``isometries``, and measures each edge image once, into
-``edge_lengths``; ``with_images`` moves a map to images that the library
-computed, sharing the isometries and skipping validation.
+``edge_lengths`` (the empty label's far end is the target's own image);
+``with_images`` moves a map to images that the library computed, sharing the
+isometries and skipping validation.  Widths and convexity reports take one
+``Space._track_lengths`` call per edge and build no point or map.
 """
 
 from __future__ import annotations
@@ -100,9 +102,9 @@ class EquivariantMap:
         return u
 
     def _measure(self) -> None:
-        """Far endpoint rho(label) . u(tgt) and image length of each edge."""
+        """Far endpoint rho(label) . u(tgt), u(tgt) itself for the empty label, and image length of each edge."""
         edges, images, dist = self.graph.edges, self.images, self.space._dist
-        self._far = [g.apply(images[e.tgt]) for e, g in zip(edges, self.isometries)]
+        self._far = [g.apply(images[e.tgt]) if e.label else images[e.tgt] for e, g in zip(edges, self.isometries)]
         self.edge_lengths = [dist(images[e.src], b) for e, b in zip(edges, self._far)]
 
     @property
@@ -152,7 +154,8 @@ def per_edge_table(u: EquivariantMap) -> list[dict]:
 class GeodesicHomotopy:
     """The geodesic homotopy between two maps over the same graph and rho.
 
-    ``track_lengths`` and ``maps_at`` sample each geodesic they need once, at all its parameters."""
+    rho(label) carries the track of an edge's target onto the geodesic between the edge's far ends in u and v
+    (Bridson & Haefliger I.1), so H_s's edge lengths, like l_H(x) = d(u(x), v(x)), are tracks of two geodesics."""
 
     def __init__(self, u: EquivariantMap, v: EquivariantMap):
         if u.graph is not v.graph and u.graph.edges != v.graph.edges:  # Edge compares its four fields
@@ -171,22 +174,26 @@ class GeodesicHomotopy:
         self.space._check_t(s)
         return self.space._geodesic_point(self.u.at(k, x), self.v.at(k, x), s)
 
-    def maps_at(self, s_grid: Iterable[float]):
-        """(s, intermediate map) for each s of s_grid, made one by one from each vertex's track, taken once."""
+    def length_energy_at(self, s_grid: Iterable[float]) -> list[tuple[float, float, float]]:
+        """(s, length, energy) of H_s for each s of s_grid, read once, from one track of each edge over the grid;
+        each sums over the edges in edge order, as ``length`` and ``energy`` do."""
         s_grid = tuple(s_grid)
         for s in s_grid:
             if not (0.0 <= s <= 1.0):
                 raise DomainError(f"homotopy parameter {s} outside [0, 1]")
-        vs = self.u.graph.vertices
-        tracks = [self.space._geodesic_points(self.u.images[w], self.v.images[w], s_grid) for w in vs]
-        return ((s, self.u.with_images(dict(zip(vs, images)))) for s, *images in zip(s_grid, *tracks))
+        lengths, energies = [0.0] * len(s_grid), [0.0] * len(s_grid)
+        for k, e in enumerate(self.u.graph.edges):
+            (a, c), (b, d) = self.u.edge_endpoints(k), self.v.edge_endpoints(k)
+            for i, d_s in enumerate(self.space._track_lengths(a, b, c, d, s_grid)):
+                lengths[i] += d_s
+                energies[i] += d_s * d_s / e.length
+        return list(zip(s_grid, lengths, energies))
 
     def track_lengths(self, k: int, xs: Sequence[float]) -> list[float]:
-        """l_H at the points of edge k at fractions xs; edge k's u- and v-segments are each sampled once."""
+        """l_H at the points of edge k at fractions xs, from one ``_track_lengths`` call."""
         if not all(0.0 <= x <= 1.0 for x in xs):
             raise DomainError("edge coordinate outside [0, 1]")
-        us = self.space._geodesic_points(*self.u.edge_endpoints(k), xs)
-        return list(map(self.space._dist, us, self.space._geodesic_points(*self.v.edge_endpoints(k), xs)))
+        return self.space._track_lengths(*self.u.edge_endpoints(k), *self.v.edge_endpoints(k), xs)
 
 
 def homotopy_width_inf(h: GeodesicHomotopy) -> float:
@@ -246,17 +253,16 @@ class ConvexityRow:
 
 
 def convexity_report(h: GeodesicHomotopy, s_grid: Iterable[float]) -> list[ConvexityRow]:
-    """Lengths and energies of the intermediate maps along the homotopy, from ``maps_at``.
+    """Lengths and energies of the intermediate maps along the homotopy, from ``length_energy_at``.
 
-    Raises DomainError, before any map is made, on a grid value outside
+    Raises DomainError, before any track is measured, on a grid value outside
     [0, 1], and GeowidthError if the length or sqrt-energy convexity
     inequality fails beyond ``CONVEXITY_TOL``.
     """
     l_u, l_v = length(h.u), length(h.v)
     e_u, e_v = energy(h.u), energy(h.v)
     rows = []
-    for s, m in h.maps_at(s_grid):
-        l_s, e_s = length(m), energy(m)
+    for s, l_s, e_s in h.length_energy_at(s_grid):
         if l_s > (1.0 - s) * l_u + s * l_v + CONVEXITY_TOL:
             raise GeowidthError(f"length convexity violated at s={s}")
         if math.sqrt(e_s) > (1.0 - s) * math.sqrt(e_u) + s * math.sqrt(e_v) + CONVEXITY_TOL:

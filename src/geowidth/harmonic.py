@@ -61,7 +61,7 @@ class HarmonicResult:
 def _term_table(u: EquivariantMap) -> dict:
     """Per vertex, in edge order: ([(weight, isometry, neighbour)], [(weight, loop isometry)]).
 
-    The isometries are the map's own; at an edge's target the isometry is inverted.
+    The isometries are the map's own, inverted at an edge's target, and None for the empty label (the identity).
     """
     table = {v: ([], []) for v in u.graph.vertices}
     for e, g in zip(u.graph.edges, u.isometries):
@@ -69,15 +69,16 @@ def _term_table(u: EquivariantMap) -> dict:
         if e.src == e.tgt:
             table[e.src][1].append((w, g))
         else:
+            g, g_inv = (g, g.inverse()) if e.label else (None, None)
             table[e.src][0].append((w, g, e.tgt))
-            table[e.tgt][0].append((w, g.inverse(), e.src))
+            table[e.tgt][0].append((w, g_inv, e.src))
     return table
 
 
 def _local_terms(terms, images: dict):
     """(weight, target_point) and (weight, isometry) terms of F_vertex at the current images."""
     point_terms, iso_terms = terms
-    return [(w, g.apply(images[n])) for w, g, n in point_terms], iso_terms
+    return [(w, images[n] if g is None else g.apply(images[n])) for w, g, n in point_terms], iso_terms
 
 
 def relax(u0: EquivariantMap, cfg: RelaxationConfig | None = None) -> HarmonicResult:
@@ -147,7 +148,7 @@ def stationarity_probe(result: HarmonicResult) -> float:
 def verify_harmonic_homotopy(
     r1: HarmonicResult, r2: HarmonicResult, s_grid: Iterable[float]
 ) -> list[tuple[float, float]]:
-    """Energies along the geodesic homotopy between two minimizers.
+    """Energies along the geodesic homotopy between two minimizers, from ``GeodesicHomotopy.length_energy_at``.
 
     Asserts |E(H_s) - E_star| <= max(1e-6, 10 * displacement_tolerance * E_star)
     at every grid value; the harmonic-map energy is constant along the
@@ -159,8 +160,7 @@ def verify_harmonic_homotopy(
     e_star = min(r1.e_star, r2.e_star)
     tol = max(1e-6, 10.0 * RelaxationConfig().displacement_tolerance * e_star)
     rows = []
-    for s, m in h.maps_at(s_grid):
-        e_s = energy(m)
+    for s, _, e_s in h.length_energy_at(s_grid):
         if abs(e_s - e_star) > tol:
             raise PreconditionError(
                 f"energy not constant along the homotopy: E({s}) = {e_s}, E* = {e_star}"

@@ -33,13 +33,14 @@ already holds: the defect functionals and the projection check each input
 point once and then call only the kernels, as do the library's own callers
 (map measurement, homotopies, widths, relaxation, orbit distances).
 ``_geodesic_points(p, q, ts)`` is ``_geodesic_point`` at each t, bit for
-bit, doing once what does not depend on t; the widths and convexity reports
-use it.  Each model supplies ``_span``, ``_step`` and ``_foot``, and
-``Space`` owns the endpoint rules and both loops.  The check is the model's
-``_check_point``: ``validate_point`` on the tree models and Euclidean space,
-type and shape only on the hyperbolic plane, whose isometry images drift off
-the sheet in the last digits.  Tree points come from one trusted constructor per tree
-model, ``_edge_point``; the public ``edge_point`` checks through
+bit, doing once what does not depend on t; the comparison sweep uses it.
+Each model supplies ``_span``, ``_step``, ``_foot`` and ``_track_lengths``
+(the widths' and convexity reports' d(x_t, y_t) along two geodesics, with
+no point built), and ``Space`` owns the endpoint rules and both loops.  The
+check is the model's ``_check_point``: ``validate_point`` on the tree models
+and Euclidean space, type and shape only on the hyperbolic plane, whose
+isometry images drift off the sheet in the last digits.  Tree points come
+from one trusted constructor per tree model, ``_edge_point``; the public ``edge_point`` checks through
 ``validate_point`` first.  The hyperbolic kernels and local solver run on
 Python floats, with numpy's operations in the same order; only the solver's
 3-term dot and matrix-vector sums, taken left to right, may differ from
@@ -171,6 +172,10 @@ class Space:
         span, ts = self._span(p, q), np.asarray(ts, dtype=float).tolist()
         return [q if t == 1.0 else p if t == 0.0 or span is None else self._step(span, t) for t in ts]
 
+    def _track_lengths(self, a, b, c, d, ts) -> list:
+        """``[_dist(x_t, y_t) for t in ts]``, x_t and y_t the points at t of a -> b and c -> d, building neither."""
+        raise NotImplementedError
+
     def random_point(self, rng: np.random.Generator):
         raise NotImplementedError
 
@@ -300,6 +305,11 @@ class EuclideanSpace(Space):
         rows = np.outer(1.0 - at, p) + np.outer(at, q)  # the products and sums of _geodesic_point
         return [p if t == 0.0 else q if t == 1.0 else x for t, x in zip(at.tolist(), rows)]
 
+    def _track_lengths(self, a, b, c, d, ts) -> list:
+        """The norms of the rows (1 - t)(a - c) + t(b - d), from one np.outer pair."""
+        at = np.asarray(ts, dtype=float)
+        return np.linalg.norm(np.outer(1.0 - at, a - c) + np.outer(at, b - d), axis=1).tolist()
+
     def random_point(self, rng: np.random.Generator):
         return rng.standard_normal(self.dim)
 
@@ -353,6 +363,13 @@ def _h_dist(p, q) -> float:
     if s <= 0.0:
         return 0.0
     return 2.0 * math.asinh(0.5 * math.sqrt(s))
+
+
+def _h_step(span: tuple, t: float) -> tuple:
+    """The point at 0 < t < 1 of the geodesic that ``HyperbolicPlane._span`` describes."""
+    (p0, p1, p2), (q0, q1, q2), d, s = span
+    a, b = math.sinh((1.0 - t) * d) / s, math.sinh(t * d) / s
+    return _sheet(a * p0 + b * q0, a * p1 + b * q1, a * p2 + b * q2)
 
 
 def _h_exp(p, v):
@@ -455,9 +472,15 @@ class HyperbolicPlane(Space):
         return pl, ql, d, math.sinh(d)
 
     def _step(self, span: tuple, t: float) -> np.ndarray:
-        (p0, p1, p2), (q0, q1, q2), d, s = span
-        a, b = math.sinh((1.0 - t) * d) / s, math.sinh(t * d) / s
-        return np.array(_sheet(a * p0 + b * q0, a * p1 + b * q1, a * p2 + b * q2))
+        return np.array(_h_step(span, t))
+
+    def _track_lengths(self, a, b, c, d, ts) -> list:
+        """The points of ``_geodesic_point`` as float tuples, which ``_dist`` reads anyway: bit for bit."""
+        ts, tracks = np.asarray(ts, dtype=float).tolist(), []
+        for p, q in ((a, b), (c, d)):
+            span, p, q = self._span(p, q), p.tolist(), q.tolist()
+            tracks.append([q if t == 1.0 else p if t == 0.0 or span is None else _h_step(span, t) for t in ts])
+        return list(map(_h_dist, *tracks))
 
     @staticmethod
     def _foot(d: float, d_a: float, d_b: float) -> float:
@@ -565,6 +588,22 @@ class _TreeSpace(Space):
         if target <= up:
             return self._above(x, hp - target, snap)
         return self._above(y, hq - (total - target), snap)
+
+    def _track_lengths(self, a, b, c, d, ts) -> list:
+        """Each sample is (end, height) on the root path of its geodesic's start (0) or end (1), where ``_step``
+        puts it, unsnapped; two samples' paths meet at the height of one ``_lca`` per pair of ends."""
+        ts, ends, tracks = np.asarray(ts, dtype=float).tolist(), [], []
+        for p, q in ((a, b), (c, d)):
+            x, hp, y, hq, hm = self._meet(p, q)
+            up, total = hp - hm, (hp - hm) + (hq - hm)
+            ends.append((x, y))
+            tracks.append([(1, hq) if t == 1.0 else (0, hp) if t == 0.0 or total == 0.0 else (0, hp - t * total)
+                           if t * total <= up else (1, hq - (total - t * total)) for t in ts])
+        meet, out = functools.cache(lambda i, j: self._height(self._lca(ends[0][i], ends[1][j]))), []
+        for (i, h1), (j, h2) in zip(*tracks):
+            m = min(meet(i, j), h1, h2)
+            out.append((h1 - m) + (h2 - m))
+        return out
 
     @staticmethod
     def _foot(d: float, d_a: float, d_b: float) -> float:

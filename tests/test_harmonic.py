@@ -447,6 +447,15 @@ class TestRelaxWork:
         with pytest.raises(DomainError):
             RelaxationConfig(displacement_tolerance=tolerance)
 
+    @pytest.mark.parametrize("rep", WORK_REPS, ids=WORK_IDS)
+    def test_empty_labels_apply_no_isometry(self, rep):
+        # rho(()) is the identity: an unlabelled edge's far end and relaxation terms are the neighbour's image itself
+        u = seeded_cycle_map(rep(), 8)
+        assert [u._far[k] is u.images[e.tgt] for k, e in enumerate(u.graph.edges)] == [not e.label for e in u.graph.edges]
+        for point_terms, _ in harmonic._term_table(u).values():
+            points, _ = harmonic._local_terms((point_terms, []), u.images)
+            assert [p is u.images[n] for (_, p), (_, g, n) in zip(points, point_terms)] == [g is None for _, g, _ in point_terms]
+
 
 class TestHarmonicHomotopy:
     def test_energy_constant_between_minimizers(self):

@@ -1,5 +1,5 @@
 """Property tests over every model space: JSON round trips, geodesic splits, map edge data, the trusted kernels
-and their batched geodesic kernel, the comparison sweep, and the float hyperbolic solver."""
+and their batched geodesic and track kernels, the comparison sweep, and the float hyperbolic solver."""
 
 import dataclasses
 import json
@@ -286,6 +286,48 @@ def test_comparison_sweep_matches_the_per_call_defects(name, seed, same, lam, gr
     assert list(map(bits, sweep.convexity)) == [bits(spaces.convexity_defect(space, *pts, t)) for t in grid]
     assert sweep.sides == tuple(space.dist(p, q) for k, p in enumerate(pts) for q in pts[k + 1:])
     assert repr(spaces.comparison_sweep(space, *pts, lam, iter(grid))) == repr(sweep)
+
+
+@pytest.mark.parametrize("name", list(SPACES))
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=seeds,
+    # ends moved onto vertices, so that tree geodesics turn at a vertex and samples k/n land on one
+    vertex=st.tuples(st.booleans(), st.booleans(), st.booleans(), st.booleans()),
+    pattern=st.sampled_from(["apart", "a = b", "c = d", "same"]),
+    ts=st.lists(
+        st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0), st.fractions(0, 1, max_denominator=24).map(float)),
+        max_size=12,
+    ),
+)
+def test_track_lengths_match_the_distances_of_geodesic_points(name, seed, vertex, pattern, ts):
+    space = SPACES[name]
+    a, b = endpoints(space, seed, vertex[:2])
+    c, d = endpoints(space, seed + 1, vertex[2:])
+    b = a if pattern == "a = b" else b
+    c, d = (a, b) if pattern == "same" else (c, c) if pattern == "c = d" else (c, d)
+    ts = [0.0, *ts, 1.0]
+    got = space._track_lengths(a, b, c, d, ts)
+    expected = [space._dist(space._geodesic_point(a, b, t), space._geodesic_point(c, d, t)) for t in ts]
+    assert all(type(x) is float for x in got)
+    assert np.all(np.abs(np.array(got) - expected) <= 1e-12 * np.maximum(1.0, expected))
+    if pattern == "same":
+        assert got == [0.0] * len(ts)
+
+
+@pytest.mark.parametrize(
+    "name, ends",
+    [
+        ("tripod", lambda t: (t.vertex_point("p"), t.vertex_point("q"), t.vertex_point("r"))),
+        ("cayley2", lambda t: (t.vertex_point((1,)), t.vertex_point((2,)), t.vertex_point((-1,)))),
+    ],
+)
+def test_track_lengths_along_a_geodesic_that_turns_at_a_vertex(name, ends):
+    # p -> q turns at the centre at t = 1/2; from a third leaf r the track is 2 - 2t, then 2t
+    space = SPACES[name]
+    p, q, r = ends(space)
+    ts = [k / 8 for k in range(9)]
+    assert space._track_lengths(p, q, r, r, ts) == [2.0 - 2.0 * t if t <= 0.5 else 2.0 * t for t in ts]
 
 
 def outcome(kernel):
