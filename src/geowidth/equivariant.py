@@ -1,16 +1,14 @@
 """Equivariant piecewise-geodesic maps of graphs and their width functionals.
 
-A map is encoded by its images of the vertices of a finite fundamental
-graph whose directed edges carry group-element labels: the edge
-(src, tgt, len, label) is sent to the constant-speed geodesic from
-images[src] to rho(label) . images[tgt].  Everything else (length, energy,
-geodesic homotopies, the W2 and Winf widths, convexity reports) is
-computed from this finite description.  The constructor evaluates each
-label once, into ``isometries``, and measures each edge image once, into
-``edge_lengths`` (the empty label's far end is the target's own image);
-``with_images`` moves a map to images that the library computed, sharing the
-isometries and skipping validation.  Widths and convexity reports take one
-``Space._track_lengths`` call per edge and build no point or map.
+A map is encoded by its images of the vertices of a finite fundamental graph
+whose directed edges carry group-element labels: the edge (src, tgt, len,
+label) is sent to the constant-speed geodesic from images[src] to
+rho(label) . images[tgt].  Everything else (length, energy, geodesic
+homotopies, the W2 and Winf widths, convexity reports, the last two from the
+space's track kernels, with no map built) is computed from this.  The
+constructor evaluates each label once, into ``isometries``, and measures
+each edge image once, into ``edge_lengths``; ``with_images`` moves a map to
+images that the library computed, sharing the isometries, unvalidated.
 """
 
 from __future__ import annotations
@@ -154,8 +152,8 @@ def per_edge_table(u: EquivariantMap) -> list[dict]:
 class GeodesicHomotopy:
     """The geodesic homotopy between two maps over the same graph and rho.
 
-    rho(label) carries the track of an edge's target onto the geodesic between the edge's far ends in u and v
-    (Bridson & Haefliger I.1), so H_s's edge lengths, like l_H(x) = d(u(x), v(x)), are tracks of two geodesics."""
+    H_s's edge lengths d(H_s(src), rho(label) . H_s(tgt)), like l_H(x) = d(u(x), v(x)), are measured over
+    all s or x at once, by the space's track kernels, without building H_s."""
 
     def __init__(self, u: EquivariantMap, v: EquivariantMap):
         if u.graph is not v.graph and u.graph.edges != v.graph.edges:  # Edge compares its four fields
@@ -175,16 +173,16 @@ class GeodesicHomotopy:
         return self.space._geodesic_point(self.u.at(k, x), self.v.at(k, x), s)
 
     def length_energy_at(self, s_grid: Iterable[float]) -> list[tuple[float, float, float]]:
-        """(s, length, energy) of H_s for each s of s_grid, read once, from one track of each edge over the grid;
-        each sums over the edges in edge order, as ``length`` and ``energy`` do."""
+        """(s, length, energy) of H_s for each s of s_grid, read once, from one ``_edge_track_lengths`` call per
+        edge over the grid; each sums over the edges in edge order, as ``length`` and ``energy`` do."""
         s_grid = tuple(s_grid)
         for s in s_grid:
             if not (0.0 <= s <= 1.0):
                 raise DomainError(f"homotopy parameter {s} outside [0, 1]")
-        lengths, energies = [0.0] * len(s_grid), [0.0] * len(s_grid)
-        for k, e in enumerate(self.u.graph.edges):
-            (a, c), (b, d) = self.u.edge_endpoints(k), self.v.edge_endpoints(k)
-            for i, d_s in enumerate(self.space._track_lengths(a, b, c, d, s_grid)):
+        u, v, lengths, energies = self.u, self.v, [0.0] * len(s_grid), [0.0] * len(s_grid)
+        for k, (e, g) in enumerate(zip(u.graph.edges, u.isometries)):
+            ends = (u.images[e.src], v.images[e.src], u.images[e.tgt], v.images[e.tgt], g if e.label else None)
+            for i, d_s in enumerate(self.space._edge_track_lengths(*ends, (u._far[k], v._far[k]), s_grid)):
                 lengths[i] += d_s
                 energies[i] += d_s * d_s / e.length
         return list(zip(s_grid, lengths, energies))

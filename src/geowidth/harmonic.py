@@ -69,9 +69,8 @@ def _term_table(u: EquivariantMap) -> dict:
         if e.src == e.tgt:
             table[e.src][1].append((w, g))
         else:
-            g, g_inv = (g, g.inverse()) if e.label else (None, None)
-            table[e.src][0].append((w, g, e.tgt))
-            table[e.tgt][0].append((w, g_inv, e.src))
+            table[e.src][0].append((w, g if e.label else None, e.tgt))
+            table[e.tgt][0].append((w, g.inverse() if e.label else None, e.src))
     return table
 
 

@@ -35,12 +35,12 @@ point once and then call only the kernels, as do the library's own callers
 ``_geodesic_points(p, q, ts)`` is ``_geodesic_point`` at each t, bit for
 bit, doing once what does not depend on t; the comparison sweep uses it.
 Each model supplies ``_span``, ``_step``, ``_foot`` and ``_track_lengths``
-(the widths' and convexity reports' d(x_t, y_t) along two geodesics, with
-no point built), and ``Space`` owns the endpoint rules and both loops.  The
-check is the model's ``_check_point``: ``validate_point`` on the tree models
-and Euclidean space, type and shape only on the hyperbolic plane, whose
-isometry images drift off the sheet in the last digits.  Tree points come
-from one trusted constructor per tree model, ``_edge_point``; the public ``edge_point`` checks through
+(d(x_t, y_t) along two geodesics, no point built), and ``Space`` owns the
+endpoint rules, in ``_walk``.  The check is the model's ``_check_point``:
+``validate_point`` on the tree models and Euclidean space, type and shape
+only on the hyperbolic plane, whose isometry images drift off the sheet in
+the last digits.  Tree points come from one trusted constructor per tree
+model, ``_edge_point``; the public ``edge_point`` checks through
 ``validate_point`` first.  The hyperbolic kernels and local solver run on
 Python floats, with numpy's operations in the same order; only the solver's
 3-term dot and matrix-vector sums, taken left to right, may differ from
@@ -169,12 +169,20 @@ class Space:
 
     def _geodesic_points(self, p, q, ts) -> list:
         """``[_geodesic_point(p, q, t) for t in ts]``, bit for bit, over one ``_span``."""
-        span, ts = self._span(p, q), np.asarray(ts, dtype=float).tolist()
-        return [q if t == 1.0 else p if t == 0.0 or span is None else self._step(span, t) for t in ts]
+        return self._walk(self._span(p, q), p, q, np.asarray(ts, dtype=float).tolist(), self._step)
+
+    @staticmethod
+    def _walk(span, p, q, ts: list, step) -> list:
+        """The endpoint rules at each t of a list: q at 1, p at 0 and on a geodesic of length 0, else step(span, t)."""
+        return [q if t == 1.0 else p if t == 0.0 or span is None else step(span, t) for t in ts]
 
     def _track_lengths(self, a, b, c, d, ts) -> list:
         """``[_dist(x_t, y_t) for t in ts]``, x_t and y_t the points at t of a -> b and c -> d, building neither."""
         raise NotImplementedError
+
+    def _edge_track_lengths(self, a, b, c, d, g, far, ts) -> list:
+        """``_track_lengths`` of a -> b and g applied to c -> d, g None or an isometry, far = (g . c, g . d)."""
+        return self._track_lengths(a, b, *far, ts)
 
     def random_point(self, rng: np.random.Generator):
         raise NotImplementedError
@@ -295,15 +303,6 @@ class EuclideanSpace(Space):
     def _foot(d: float, d_a: float, d_b: float) -> float:
         """The law of cosines: (d_a^2 - d_b^2 + d^2) / 2d."""
         return 0.5 * ((d_a - d_b) * (d_a + d_b) / d + d)
-
-    def _geodesic_points(self, p, q, ts) -> list:
-        """A float64 batch is np.outer(1 - t, p) + np.outer(t, q), the products and sums of ``_geodesic_point``;
-        its interior points are rows of that one array, so they share its memory."""
-        at = np.asarray(ts)
-        if p.dtype != np.float64 or q.dtype != np.float64 or at.dtype != np.float64:  # a Python-float t keeps float32
-            return super()._geodesic_points(p, q, ts)
-        rows = np.outer(1.0 - at, p) + np.outer(at, q)  # the products and sums of _geodesic_point
-        return [p if t == 0.0 else q if t == 1.0 else x for t, x in zip(at.tolist(), rows)]
 
     def _track_lengths(self, a, b, c, d, ts) -> list:
         """The norms of the rows (1 - t)(a - c) + t(b - d), from one np.outer pair."""
@@ -474,13 +473,17 @@ class HyperbolicPlane(Space):
     def _step(self, span: tuple, t: float) -> np.ndarray:
         return np.array(_h_step(span, t))
 
+    def _floats(self, p, q, ts) -> list:
+        """``_geodesic_points`` as the float sequences that ``_dist`` makes of them: bit for bit."""
+        return self._walk(self._span(p, q), p.tolist(), q.tolist(), np.asarray(ts, dtype=float).tolist(), _h_step)
+
     def _track_lengths(self, a, b, c, d, ts) -> list:
-        """The points of ``_geodesic_point`` as float tuples, which ``_dist`` reads anyway: bit for bit."""
-        ts, tracks = np.asarray(ts, dtype=float).tolist(), []
-        for p, q in ((a, b), (c, d)):
-            span, p, q = self._span(p, q), p.tolist(), q.tolist()
-            tracks.append([q if t == 1.0 else p if t == 0.0 or span is None else _h_step(span, t) for t in ts])
-        return list(map(_h_dist, *tracks))
+        return list(map(_h_dist, self._floats(a, b, ts), self._floats(c, d, ts)))
+
+    def _edge_track_lengths(self, a, b, c, d, g, far, ts) -> list:
+        """g applied to each point of c -> d: ``_sheet`` would lose cosh^2 R of precision at far ends of radius R."""
+        ys = self._floats(c, d, ts)
+        return list(map(_h_dist, self._floats(a, b, ts), ys if g is None else [g.apply(y).tolist() for y in ys]))
 
     @staticmethod
     def _foot(d: float, d_a: float, d_b: float) -> float:
@@ -589,21 +592,21 @@ class _TreeSpace(Space):
             return self._above(x, hp - target, snap)
         return self._above(y, hq - (total - target), snap)
 
+    @staticmethod
+    def _side(span: tuple, t: float) -> tuple:
+        """The (vertex, height) from which ``_step`` climbs, by its choice of side."""
+        total, x, hp, y, hq, up, _ = span
+        return (x, hp - t * total) if t * total <= up else (y, hq - (total - t * total))
+
     def _track_lengths(self, a, b, c, d, ts) -> list:
-        """Each sample is (end, height) on the root path of its geodesic's start (0) or end (1), where ``_step``
-        puts it, unsnapped; two samples' paths meet at the height of one ``_lca`` per pair of ends."""
-        ts, ends, tracks = np.asarray(ts, dtype=float).tolist(), [], []
+        """Samples are ``_side``'s, unsnapped; two meet at the height of one ``_lca`` per pair of vertices."""
+        ts, tracks = np.asarray(ts, dtype=float).tolist(), []
         for p, q in ((a, b), (c, d)):
-            x, hp, y, hq, hm = self._meet(p, q)
-            up, total = hp - hm, (hp - hm) + (hq - hm)
-            ends.append((x, y))
-            tracks.append([(1, hq) if t == 1.0 else (0, hp) if t == 0.0 or total == 0.0 else (0, hp - t * total)
-                           if t * total <= up else (1, hq - (total - t * total)) for t in ts])
-        meet, out = functools.cache(lambda i, j: self._height(self._lca(ends[0][i], ends[1][j]))), []
-        for (i, h1), (j, h2) in zip(*tracks):
-            m = min(meet(i, j), h1, h2)
-            out.append((h1 - m) + (h2 - m))
-        return out
+            span = self._span(p, q)
+            ends = (self._low(p), self._low(q)) if span is None else (span[1:3], span[3:5])
+            tracks.append(self._walk(span, *ends, ts, self._side))
+        meet = functools.cache(lambda x, y: self._height(self._lca(x, y)))
+        return [(h1 - m) + (h2 - m) for (x, h1), (y, h2) in zip(*tracks) for m in [min(meet(x, y), h1, h2)]]
 
     @staticmethod
     def _foot(d: float, d_a: float, d_b: float) -> float:
