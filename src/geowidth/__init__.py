@@ -10,11 +10,10 @@ from .spaces import (
     MetricTree,
     comparison_sweep,
     convexity_defect,
-    project_to_segment,
     quadrilateral_defect,
     triangle_defect,
 )
-from .words import enumerate_ball, inverse, multiply, parse_word, word_length, word_to_str
+from .words import enumerate_ball, inverse, multiply, parse_word, word_to_str
 from .isometries import (
     CayleyTranslation,
     EuclideanIsometry,

@@ -114,13 +114,6 @@ class EquivariantMap:
         e = self.graph.edges[k]
         return self.images[e.src], self._far[k]
 
-    def at(self, k: int, x: float):
-        """Value at the point of edge k at arclength fraction x in [0, 1]."""
-        if not (0.0 <= x <= 1.0):
-            raise DomainError("edge coordinate outside [0, 1]")
-        a, b = self.edge_endpoints(k)
-        return self.space._geodesic_point(a, b, x)
-
 
 def build_bouquet_map(rho: Representation, basepoint) -> EquivariantMap:
     """The orbit-graph map of a bouquet of loops, one loop per generator."""
@@ -166,11 +159,6 @@ class GeodesicHomotopy:
     @property
     def space(self) -> Space:
         return self.u.space
-
-    def at(self, s: float, k: int, x: float):
-        """H(s, .) evaluated at the point of edge k at fraction x."""
-        self.space._check_t(s)
-        return self.space._geodesic_point(self.u.at(k, x), self.v.at(k, x), s)
 
     def length_energy_at(self, s_grid: Iterable[float]) -> list[tuple[float, float, float]]:
         """(s, length, energy) of H_s for each s of s_grid, read once, from one ``_edge_track_lengths`` call per

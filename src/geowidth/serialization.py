@@ -20,6 +20,7 @@ from . import words
 from .equivariant import Edge, EquivariantMap, FundamentalGraph
 from .errors import AlphabetMismatchError, ConfigError, DomainError, InvalidPointError, ModelMismatchError
 from .isometries import Representation
+from .spaces import json_field
 
 
 @contextmanager
@@ -72,7 +73,7 @@ def map_from_json(data: dict, rho: Representation | None = None) -> EquivariantM
         Edge(
             e["src"],
             e["tgt"],
-            float(e["len"]),
+            json_field(e, "len", float),
             words.parse_word(e["label"], rho.alphabet_size),
         )
         for e in g["edges"]

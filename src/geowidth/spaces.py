@@ -29,13 +29,13 @@ O(log V) however deep the tree is.
 Points are checked once, where they enter.  The public ``dist`` and
 ``geodesic_point`` check their points (and t), then delegate to the trusted
 kernels ``_dist`` and ``_geodesic_point``, which run on values the library
-already holds: the defect functionals and the projection check each input
-point once and then call only the kernels, as do the library's own callers
-(map measurement, homotopies, widths, relaxation, orbit distances).
+already holds: the defect functionals check each input point once and then
+call only the kernels, as do the library's own callers (map measurement,
+homotopies, widths, relaxation, orbit distances).
 ``_geodesic_points(p, q, ts)`` is ``_geodesic_point`` at each t, bit for
 bit, doing once what does not depend on t; the comparison sweep uses it.
-Each model supplies ``_span``, ``_step``, ``_foot`` and ``_track_lengths``
-(d(x_t, y_t) along two geodesics, no point built), and ``Space`` owns the
+Each model supplies ``_span``, ``_step`` and ``_track_lengths`` (d(x_t,
+y_t) along two geodesics, no point built), and ``Space`` owns the
 endpoint rules, in ``_walk``.  The check is the model's ``_check_point``:
 ``validate_point`` on the tree models and Euclidean space, type and shape
 only on the hyperbolic plane, whose isometry images drift off the sheet in
@@ -59,12 +59,8 @@ JSON forms::
 
 On top of the interface the module provides the comparison-inequality
 defect functionals (triangle comparison, quadrilateral comparison,
-distance convexity) and nearest-point projection onto a geodesic segment.
-The nearest point is unique, and d(a, b), d(a, y) and d(b, y) fix it
-(Bridson & Haefliger II.2.4): the model's ``_foot`` gives its arclength from
-a in closed form, by the law of cosines in Euclidean space, hyperbolic
-Pythagoras on the hyperbolic plane and the Gromov product on the trees.
-Defects are signed: nonnegative means the inequality holds.
+distance convexity).  Defects are signed: nonnegative means the inequality
+holds.
 ``comparison_sweep`` gives one quadruple's triangle defect and its
 quadrilateral and convexity defects over a grid, bit for bit as the
 per-call functions give them, from one check of each point, one
@@ -135,9 +131,7 @@ class Space:
     the geodesic p -> q needs apart from t, or None when it has length 0;
     and ``_step(span, t)``, the point at 0 < t < 1.  ``Space`` owns the
     endpoint rules (t = 0 gives p, t = 1 gives q, length 0 gives p) and the
-    scalar and batch loops over them.  A model also supplies the static
-    ``_foot(d, d_a, d_b)``: the arclength from a of the point of the geodesic
-    a -> b nearest y, unclamped, from d(a, b) > 0, d(a, y) and d(b, y).
+    scalar and batch loops over them.
     """
 
     model = "abstract"
@@ -268,7 +262,7 @@ class EuclideanSpace(Space):
 
     @classmethod
     def from_json(cls, data: dict) -> "EuclideanSpace":
-        return cls(int(data["dim"]))
+        return cls(json_field(data, "dim", int))
 
     def to_json(self) -> dict:
         return {"model": self.model, "dim": self.dim}
@@ -298,11 +292,6 @@ class EuclideanSpace(Space):
     def _step(self, span: tuple, t: float):
         p, q = span
         return (1.0 - t) * p + t * q
-
-    @staticmethod
-    def _foot(d: float, d_a: float, d_b: float) -> float:
-        """The law of cosines: (d_a^2 - d_b^2 + d^2) / 2d."""
-        return 0.5 * ((d_a - d_b) * (d_a + d_b) / d + d)
 
     def _track_lengths(self, a, b, c, d, ts) -> list:
         """The norms of the rows (1 - t)(a - c) + t(b - d), from one np.outer pair."""
@@ -485,18 +474,6 @@ class HyperbolicPlane(Space):
         ys = self._floats(c, d, ts)
         return list(map(_h_dist, self._floats(a, b, ts), ys if g is None else [g.apply(y).tolist() for y in ys]))
 
-    @staticmethod
-    def _foot(d: float, d_a: float, d_b: float) -> float:
-        """Hyperbolic Pythagoras, cosh d_a = cosh h cosh x and cosh d_b = cosh h cosh(d - x) with h = d(y, foot):
-        with r = cosh d_b / cosh d_a, e^2x = (e^d - r) / (r - e^-d).  The textbook
-        atanh((cosh d_a cosh d - cosh d_b) / (cosh d_a sinh d)) is not used: its argument can round to 1 or beyond."""
-        r, up, down = math.cosh(d_b) / math.cosh(d_a), math.exp(d), math.exp(-d)
-        if up - r <= 0.0:
-            return 0.0
-        if r - down <= 0.0:
-            return d
-        return 0.5 * math.log((up - r) / (r - down))
-
     def from_polar(self, radius: float, angle: float) -> np.ndarray:
         return np.array(
             [math.cosh(radius), math.sinh(radius) * math.cos(angle), math.sinh(radius) * math.sin(angle)]
@@ -607,11 +584,6 @@ class _TreeSpace(Space):
             tracks.append(self._walk(span, *ends, ts, self._side))
         meet = functools.cache(lambda x, y: self._height(self._lca(x, y)))
         return [(h1 - m) + (h2 - m) for (x, h1), (y, h2) in zip(*tracks) for m in [min(meet(x, y), h1, h2)]]
-
-    @staticmethod
-    def _foot(d: float, d_a: float, d_b: float) -> float:
-        """The Gromov product (d_a - d_b + d) / 2."""
-        return 0.5 * (d_a - d_b + d)
 
     def local_min(self, y0, point_terms, iso_terms):
         """Walk downhill from y0 vertex to vertex, then minimise exactly on each edge out of where it stopped.
@@ -735,7 +707,7 @@ class MetricTree(_TreeSpace):
 
     @classmethod
     def from_json(cls, data: dict) -> "MetricTree":
-        edges = [(e["a"], e["b"], float(e["len"])) for e in data["edges"]]
+        edges = [(e["a"], e["b"], json_field(e, "len", float)) for e in data["edges"]]
         return cls(data["vertices"], edges)
 
     def to_json_dict(self) -> dict:
@@ -756,7 +728,7 @@ class MetricTree(_TreeSpace):
     def _point_from_json(self, data: dict) -> TreePoint:
         if "vertex" in data:
             return self.vertex_point(data["vertex"])
-        return self.edge_point(int(data["edge"]), float(data["offset"]))
+        return self.edge_point(json_field(data, "edge", int), json_field(data, "offset", float))
 
     # point construction and canonicalization -------------------------------
 
@@ -888,7 +860,7 @@ class CayleyTree(_TreeSpace):
 
     @classmethod
     def from_json(cls, data: dict) -> "CayleyTree":
-        return cls(int(data["rank"]))
+        return cls(json_field(data, "rank", int))
 
     def to_json(self) -> dict:
         return {"model": self.model, "rank": self.rank}
@@ -906,7 +878,7 @@ class CayleyTree(_TreeSpace):
             letter = words.parse_word(data["letter"], self.rank)
             if len(letter) != 1:
                 raise InvalidPointError(f"edge letter {data['letter']!r} is not one signed letter")
-            return self.edge_point(w, letter[0], float(data["t"]))
+            return self.edge_point(w, letter[0], json_field(data, "t", float))
         return self.vertex_point(w)
 
     def vertex_point(self, w: words.Word) -> CayleyPoint:
@@ -1017,6 +989,15 @@ def space_from_json(data: dict) -> Space:
     return cls.from_json(data)
 
 
+def json_field(data: dict, key: str, kind: type):
+    """``data[key]`` as kind, int or float, if JSON writes it as such a number: an int for an int, an int or a
+    float for a float.  A bool, a string or a fraction for an int raises TypeError."""
+    v = data[key]
+    if type(v) is not int and (kind is int or not isinstance(v, float)):
+        raise TypeError(f"{key!r} must be a JSON {'integer' if kind is int else 'number'}, not {v!r}")
+    return kind(v)
+
+
 # ---------------------------------------------------------------------------
 # comparison-inequality defects (signed; >= 0 means the inequality holds)
 
@@ -1112,18 +1093,3 @@ def comparison_sweep(space: Space, P, Q, R, S, lam: float, grid) -> ComparisonSw
         [_convexity(t, d_pq, d_rs, d_t) for t, d_t in zip(grid, d_ts)],
         sides,
     )
-
-
-def project_to_segment(space: Space, a, b, y):
-    """Nearest point on the geodesic segment [a, b] to y, with its parameter.
-
-    In a CAT(0) space the nearest point is unique, and three distances fix
-    it: the model's ``_foot(d(a, b), d(a, y), d(b, y))`` is its arclength
-    from a, clamped onto the segment.  A segment of length 0 gives (a, 0).
-    """
-    _check_points(space, a, b, y)
-    d = space._dist(a, b)
-    if d == 0.0:
-        return a, 0.0
-    s = min(max(space._foot(d, space._dist(a, y), space._dist(b, y)) / d, 0.0), 1.0)
-    return space._geodesic_point(a, b, s), s

@@ -1,4 +1,4 @@
-"""Freely reduced words over a finite alphabet and the word metric.
+"""Freely reduced words over a finite alphabet, for free-group arithmetic.
 
 A word is a tuple of nonzero signed generator indices: ``+i`` is the i-th
 generator (1-based), ``-i`` its inverse.  All public functions keep words
@@ -57,10 +57,6 @@ def inverse(a: Word) -> Word:
 def conjugate(g: Word, a: Word) -> Word:
     """g^-1 * a * g, for reduced tuples g and a."""
     return multiply(multiply(inverse(g), a), g)
-
-
-def word_length(a: Word) -> int:
-    return len(a)
 
 
 def max_generator(a: Word) -> int:
@@ -170,14 +166,3 @@ def cyclic_rotations(core: Word) -> Iterable[tuple[int, Word]]:
     """All rotations (r, core[r:] + core[:r]) of a cyclically reduced word."""
     for r in range(max(len(core), 1)):
         yield r, core[r:] + core[:r]
-
-
-def power(a: Sequence[int], n: int) -> Word:
-    """a^n, freely reduced; a is reduced once, at entry."""
-    a = reduce_word(a)
-    if n < 0:
-        a, n = inverse(a), -n
-    out: Word = ()
-    for _ in range(n):
-        out = multiply(out, a)
-    return out

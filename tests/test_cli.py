@@ -69,6 +69,15 @@ def free_rep_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def tree_rep_file(tmp_path):
+    """The swap of the two ends of a two-edge path, on that path."""
+    path = tmp_path / "tree_rep.json"
+    tree = MetricTree(["a", "m", "b"], [("a", "m", 1.0), ("m", "b", 1.0)])
+    save_representation(str(path), Representation(tree, [TreeAutomorphism(tree, {"a": "b", "m": "m", "b": "a"})]))
+    return str(path)
+
+
 class TestCheckCat0:
     def test_euclidean_json(self, capsys):
         code, out, _ = run(
@@ -659,14 +668,36 @@ class TestFuzz:
             ("basepoint", '{"model": "cayley", "word": "e", "letter": "", "t": 0.5}'),
             ("basepoint", '{"model": "cayley", "word": "e", "letter": "e", "t": 0.5}'),
             ("basepoint", '{"model": "cayley", "word": "e", "letter": "ab", "t": 0.5}'),
+            ("rep", '{"space": {"model": "euclidean", "dim": 2.5}, "generators": []}'),
+            ("rep", '{"space": {"model": "euclidean", "dim": true}, "generators": []}'),
+            ("rep", '{"space": {"model": "euclidean", "dim": "3"}, "generators": []}'),
+            ("rep", '{"space": {"model": "cayley", "rank": 2.7}, "generators": [{"word": "a"}, {"word": "b"}]}'),
+            ("rep", '{"space": {"model": "cayley", "rank": true}, "generators": [{"word": "a"}]}'),
+            ("rep", '{"space": {"model": "cayley", "rank": "2"}, "generators": [{"word": "a"}, {"word": "b"}]}'),
+            ("tree-basepoint", '{"model": "tree", "edge": 1.7, "offset": 0.5}'),
+            ("tree-basepoint", '{"model": "tree", "edge": true, "offset": 0.5}'),
+            ("tree-basepoint", '{"model": "tree", "edge": "1", "offset": 0.5}'),
+            ("tree-basepoint", '{"model": "tree", "edge": 1, "offset": "0.5"}'),
+            ("tree-file", '{"vertices": ["a", "b"], "edges": [{"a": "a", "b": "b", "len": "1"}]}'),
+            ("tree-file", '{"vertices": ["a", "b"], "edges": [{"a": "a", "b": "b", "len": true}]}'),
+            ("map", '{"graph": {"vertices": [0], "edges": [{"src": 0, "tgt": 0, "len": "1", "label": "a"}]}, '
+                    '"images": {"0": {"model": "cayley", "word": "e"}}, '
+                    '"representation": {"space": {"model": "cayley", "rank": 1}, "generators": [{"word": "a"}]}}'),
+            ("basepoint", '{"model": "cayley", "word": "a", "letter": "b", "t": "0.5"}'),
+            ("basepoint", '{"model": "cayley", "word": "a", "letter": "b", "t": true}'),
         ],
         ids=[
             "tree-len", "matrix-string", "matrix-ragged", "dim-string", "word-number", "basepoint-word", "basepoint-t",
             "len-nan", "rank-infinity", "basepoint-beyond-alphabet", "basepoint-off-sheet",
             "letter-empty", "letter-identity", "letter-two",
+            "dim-fraction", "dim-bool", "dim-digits", "rank-fraction", "rank-bool", "rank-digits",
+            "edge-fraction", "edge-bool", "edge-digits", "offset-digits", "tree-len-digits", "tree-len-bool",
+            "map-len-digits", "basepoint-t-digits", "basepoint-t-bool",
         ],
     )
-    def test_wrongly_typed_json_is_config_error(self, capsys, tmp_path, free_rep_file, hyp_rep_file, entry, text):
+    def test_wrongly_typed_json_is_config_error(
+        self, capsys, tmp_path, free_rep_file, hyp_rep_file, tree_rep_file, entry, text
+    ):
         path = tmp_path / "input.json"
         path.write_text(text)
         argv = {
@@ -674,6 +705,8 @@ class TestFuzz:
             "rep": ["estimate-cstar", "--rep", str(path), "--trials", "3"],
             "basepoint": ["orbit-report", "--rep", free_rep_file, "--a", "ab", "--b", "ba", "--basepoint", text],
             "hyperbolic-basepoint": ["orbit-report", "--rep", hyp_rep_file, "--a", "a", "--b", "a", "--basepoint", text],
+            "tree-basepoint": ["orbit-report", "--rep", tree_rep_file, "--a", "a", "--b", "a", "--basepoint", text],
+            "map": ["width", "--u", str(path), "--v", str(path)],
         }[entry]
         code, out, err = run(capsys, argv)
         assert code == 65

@@ -28,7 +28,6 @@ from geowidth.words import (
     multiply,
     parse_word,
     shortlex_key,
-    word_length,
 )
 
 from conftest import parabolic_rep, readme_rep

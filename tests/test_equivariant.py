@@ -94,13 +94,6 @@ class TestMapLengthEnergy:
         r = rows[0]
         assert r["L"] ** 2 == pytest.approx(r["E"] * r["len"], rel=1e-12)
 
-    def test_edge_evaluation(self, z2_rep):
-        u = build_bouquet_map(z2_rep, np.zeros(2))
-        mid = u.at(0, 0.5)
-        assert np.allclose(mid, [0.5, 0.0])
-        with pytest.raises(DomainError):
-            u.at(0, 1.5)
-
     def test_images_must_match_vertices(self, z2_rep):
         with pytest.raises(DomainError):
             EquivariantMap(bouquet_graph(2), z2_rep, {"v": np.zeros(2), "w": np.zeros(2)})
@@ -138,8 +131,6 @@ class TestHomotopy:
     def test_parameter_outside_unit_interval(self):
         h = GeodesicHomotopy(*self.hyp_theta_maps())
         for s in (-0.1, 1.5):
-            with pytest.raises(DomainError):
-                h.at(s, 0, 0.5)
             with pytest.raises(DomainError):
                 h.length_energy_at((s,))
 
@@ -344,7 +335,8 @@ def reference_width_2(h, samples_per_edge):
 
     fine = coarse = 0.0
     for k, e in enumerate(h.u.graph.edges):
-        fs = np.array([h.space._dist(h.u.at(k, x), h.v.at(k, x)) ** 2 for x in xs])
+        point = h.space._geodesic_point
+        fs = np.array([h.space._dist(point(*h.u.edge_endpoints(k), x), point(*h.v.edge_endpoints(k), x)) ** 2 for x in xs])
         fine += simpson(fs, e.length / k_sub)
         coarse += simpson(fs[::2].copy(), e.length / (k_sub // 2))
     width = math.sqrt(max(fine, 0.0))

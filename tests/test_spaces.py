@@ -20,7 +20,6 @@ from geowidth.spaces import (
     TreePoint,
     comparison_sweep,
     convexity_defect,
-    project_to_segment,
     quadrilateral_defect,
     triangle_defect,
 )
@@ -476,70 +475,6 @@ class TestBoundaryChecks:
             comparison_sweep(tree, P, Q, R, P, 0.5, [0.5])
 
 
-class TestProjection:
-    def test_orthogonal_foot(self, euclid2):
-        a, b, y = euclid2.point([0, 0]), euclid2.point([2, 0]), euclid2.point([1, 5])
-        proj, t = project_to_segment(euclid2, a, b, y)
-        assert np.allclose(proj, [1, 0], atol=1e-6)
-        assert t == pytest.approx(0.5, abs=1e-6)
-
-    def test_y_in_set(self, euclid2):
-        a, b = euclid2.point([0, 0]), euclid2.point([2, 0])
-        proj, t = project_to_segment(euclid2, a, b, a)
-        assert t == 0.0
-        assert np.allclose(proj, a)
-
-    def test_tree_leaf_off_midpoint(self):
-        tree = MetricTree(
-            ["a", "m", "b", "leaf"],
-            [("a", "m", 0.5), ("m", "b", 0.5), ("m", "leaf", 1.0)],
-        )
-        proj, t = project_to_segment(
-            tree, tree.vertex_point("a"), tree.vertex_point("b"), tree.vertex_point("leaf")
-        )
-        assert proj == tree.vertex_point("m")
-        assert t == pytest.approx(0.5, abs=1e-8)
-
-    @pytest.mark.parametrize("name", list(all_model_spaces()))
-    def test_against_grid_scan(self, name):
-        space = all_model_spaces()[name]
-        rng = np.random.default_rng(23)
-        for _ in range(5):
-            a, b, y = (space.random_point(rng) for _ in range(3))
-            _, t = project_to_segment(space, a, b, y)
-            best = min(
-                space.dist(y, space.geodesic_point(a, b, s)) for s in np.linspace(0, 1, 10001)
-            )
-            found = space.dist(y, space.geodesic_point(a, b, t))
-            assert found <= best + 1e-8
-
-    @pytest.mark.parametrize("name", list(all_model_spaces()))
-    def test_closed_form_against_golden_section(self, name):
-        space = all_model_spaces()[name]
-        rng = np.random.default_rng(29)
-        triples = [tuple(space.random_point(rng) for _ in range(3)) for _ in range(200)]
-        a, b, y = triples[0]
-        mid = space.geodesic_point(a, b, 0.5)
-        # y = a, y = b, a = b, y on the segment, and a foot past the end of [a, mid]
-        triples += [(a, b, a), (a, b, b), (a, a, y), (a, b, space.geodesic_point(a, b, 0.3)), (a, mid, b)]
-        if name == "hyperbolic":
-            triples.append((space.from_polar(10.0, math.pi), space.from_polar(10.0, 0.0), space.from_polar(10.0, 0.01)))
-        for a, b, y in triples:
-            proj, t = project_to_segment(space, a, b, y)
-            assert 0.0 <= t <= 1.0
-            assert space.dist(proj, space.geodesic_point(a, b, t)) == 0.0
-            bound = 1e-12 * max(1.0, space.dist(a, b))
-            assert space.dist(y, proj) <= reference_projection_dist(space, a, b, y) + bound
-
-    def test_hyperbolic_foot_far_past_the_end(self):
-        # the textbook atanh((cosh d_a cosh d - cosh d_b) / (cosh d_a sinh d)) rounds its argument to >= 1 here
-        space = HyperbolicPlane()
-        a, b, y = space.from_polar(10.0, math.pi), space.from_polar(9.6, 0.0), space.from_polar(10.0, 0.0)
-        proj, t = project_to_segment(space, a, b, y)
-        assert t == 1.0
-        assert proj is b
-
-
 class TestConstruction:
     def test_tree_must_be_acyclic(self):
         with pytest.raises(DomainError):
@@ -798,8 +733,8 @@ class TestHeavyPaths:
         assert all(tree._dist(p, m) == pytest.approx(0.5 * d, abs=1e-9 * d) for (p, _), m, d in zip(pairs, mids, dists))
 
 
-# Referees: the golden-section search that the tree descent walk and the closed-form projection replaced, and the
-# candidate scan of the old tree local search.
+# Referees: the golden-section search that the tree descent walk replaced, and the candidate scan of the old tree
+# local search.
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # golden-section step ratio
 
@@ -819,17 +754,6 @@ def golden_section(f, a: float, b: float, tol: float) -> float:
             d = a + _INV_PHI * (b - a)
             fd = f(d)
     return 0.5 * (a + b)
-
-
-def reference_projection_dist(space, a, b, y):
-    """d(y, [a, b]) by the search that ``project_to_segment`` replaced: golden section to 1e-10, then the ends.
-
-    At radius 10 on the hyperbolic plane ``_dist`` rounds by a few 1e-10, and a finer search finds points that
-    only read nearer."""
-    def objective(s):
-        return space._dist(y, space._geodesic_point(a, b, s))
-
-    return min(objective(0.0), objective(golden_section(objective, 0.0, 1.0, 1e-10)), objective(1.0))
 
 
 def reference_segment_min(space, a, b, f):
