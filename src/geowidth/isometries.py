@@ -3,9 +3,10 @@
 Four isometry families, one per model:
 
 * ``EuclideanIsometry`` -- orthogonal matrix + translation;
-* ``HyperbolicIsometry`` -- a real 2x2 matrix of determinant 1 acting on the
-  hyperboloid through X -> A X A^T where X = [[x0+x1, x2], [x2, x0-x1]]
-  (the PSL(2,R) = SO(2,1)+ action; A and -A act identically);
+* ``HyperbolicIsometry`` -- a real 2x2 matrix A of determinant 1, held as
+  its four float ``entries``, acting on the hyperboloid through X -> (A X) A^T
+  with X = [[x0+x1, x2], [x2, x0-x1]], in plain float arithmetic (the
+  PSL(2,R) = SO(2,1)+ action; A and -A act identically);
 * ``TreeAutomorphism`` -- a length-compatible vertex permutation of a finite
   metric tree;
 * ``CayleyTranslation`` -- left translation by a group element on the Cayley
@@ -14,7 +15,8 @@ Four isometry families, one per model:
 Each family owns its identity, its JSON form (``to_json`` and
 ``from_json``) and its ``kind``, the name a representation into it carries;
 the hyperbolic and Cayley families answer ``is_hyperbolic`` and ``shares_fixed_end``.
-Public constructors and ``from_json`` check their input; ``compose``,
+Public constructors and ``from_json`` check their input, each entry of a
+JSON number array included (``spaces.json_array``); ``compose``,
 ``inverse`` and ``identity`` of all four families build their results with
 the trusted ``Isometry._trusted``, which runs none of the orthogonality,
 determinant, edge or alphabet checks that checked operands make redundant;
@@ -44,7 +46,8 @@ import numpy as np
 
 from . import words
 from .errors import CapabilityError, ConfigError, DomainError
-from .spaces import TOL, CayleyPoint, CayleyTree, EuclideanSpace, HyperbolicPlane, MetricTree, Space, TreePoint, space_from_json
+from .spaces import (TOL, CayleyPoint, CayleyTree, EuclideanSpace, HyperbolicPlane, MetricTree, Space, TreePoint,
+                     _h_act, json_array, space_from_json)
 
 
 class Isometry:
@@ -107,7 +110,7 @@ class EuclideanIsometry(Isometry):
 
     @classmethod
     def from_json(cls, space: EuclideanSpace, data: dict) -> "EuclideanIsometry":
-        iso = cls(data["matrix"], data["translation"])
+        iso = cls(json_array(data, "matrix"), json_array(data, "translation"))
         if iso.translation.shape != (space.dim,):
             raise ConfigError(f"a generator of size {iso.translation.size} acts on a space of dim {space.dim}")
         return iso
@@ -152,63 +155,57 @@ class HyperbolicIsometry(Isometry):
             m = m / math.sqrt(det)
         if not (math.isfinite(det) and np.isfinite(m).all()):
             raise DomainError("matrix entries and determinant must be finite")
-        self.matrix = self._signed(m)
+        self.entries = self._signed(tuple(m.ravel().tolist()))
 
     @staticmethod
-    def _signed(m: np.ndarray) -> np.ndarray:
+    def _signed(m: tuple) -> tuple:
         """m or -m, whichever has its first entry above 1e-12 in size positive:
         A and -A act identically, and one sign makes equality testable."""
-        for x in m.flat:
+        for x in m:
             if abs(x) > 1e-12:
-                return -m if x < 0.0 else m
+                return tuple(-y for y in m) if x < 0.0 else m
         return m
 
     @property
+    def matrix(self) -> np.ndarray:
+        return np.array(self.entries).reshape(2, 2)
+
+    @property
     def trace(self) -> float:
-        return float(self.matrix[0, 0] + self.matrix[1, 1])
+        return self.entries[0] + self.entries[3]
 
     @classmethod
     def identity(cls, space: HyperbolicPlane | None = None) -> "HyperbolicIsometry":
-        return cls._trusted(matrix=np.eye(2))
+        return cls._trusted(entries=(1.0, 0.0, 0.0, 1.0))
 
     @classmethod
     def from_json(cls, space: HyperbolicPlane, data: dict) -> "HyperbolicIsometry":
-        return cls(data["matrix"])
+        return cls(json_array(data, "matrix"))
 
     def to_json(self) -> dict:
         return {"matrix": self.matrix.tolist()}
 
-    @staticmethod
-    def _to_sym(p) -> np.ndarray:
-        return np.array([[p[0] + p[1], p[2]], [p[2], p[0] - p[1]]])
-
-    @staticmethod
-    def _from_sym(x: np.ndarray) -> np.ndarray:
-        return np.array([0.5 * (x[0, 0] + x[1, 1]), 0.5 * (x[0, 0] - x[1, 1]), x[0, 1]])
-
     def apply(self, p):
-        a = self.matrix
-        return self._from_sym(a @ self._to_sym(p) @ a.T)
+        return np.array(_h_act(self.entries, p.tolist()))
 
     def so21_matrix(self) -> np.ndarray:
         """The induced 3x3 matrix acting on hyperboloid coordinates."""
-        cols = []
-        for basis in (np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]), np.array([0.0, 0.0, 1.0])):
-            cols.append(self.apply(basis))
-        return np.column_stack(cols)
+        return np.column_stack([self.apply(basis) for basis in np.eye(3)])
 
     def compose(self, other: "HyperbolicIsometry") -> "HyperbolicIsometry":
-        return HyperbolicIsometry._trusted(matrix=self._signed(self.matrix @ other.matrix))
+        (a, b, c, d), (e, f, g, h) = self.entries, other.entries
+        product = (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+        return HyperbolicIsometry._trusted(entries=self._signed(product))
 
     def inverse(self) -> "HyperbolicIsometry":
-        a, b, c, d = self.matrix.flat
-        return HyperbolicIsometry._trusted(matrix=self._signed(np.array([[d, -b], [-c, a]])))
+        a, b, c, d = self.entries
+        return HyperbolicIsometry._trusted(entries=self._signed((d, -b, -c, a)))
 
     def is_identity(self) -> bool:
-        return bool(np.max(np.abs(self.matrix - np.eye(2))) <= TOL)
+        return all(abs(x - y) <= TOL for x, y in zip(self.entries, (1.0, 0.0, 0.0, 1.0)))
 
     def equals(self, other: "HyperbolicIsometry") -> bool:
-        return bool(np.max(np.abs(self.matrix - other.matrix)) <= 1e-9)
+        return all(abs(x - y) <= 1e-9 for x, y in zip(self.entries, other.entries))
 
     def is_hyperbolic(self) -> bool:
         return abs(self.trace) > 2.0 + TOL
@@ -219,9 +216,9 @@ class HyperbolicIsometry(Isometry):
         Fricke: tr[g, h] = x^2 + y^2 + z^2 - xyz - 2 with x = tr g, y = tr h, z = tr gh, exact on
         integral matrices and free of the PSL sign; judged within 16 ulps of (|g| |h|)^2, |.| the sum
         of absolute entries, which bounds each term and scales as non-integral matrices round."""
-        g, h = self.matrix, other.matrix
-        x, y, z = self.trace, other.trace, float(np.trace(g @ h))  # gh without compose's sign
-        size = float(np.abs(g).sum() * np.abs(h).sum())
+        (a, b, c, d), (e, f, g, h) = self.entries, other.entries
+        x, y, z = self.trace, other.trace, (a * e + b * g) + (c * f + d * h)  # gh without compose's sign
+        size = sum(map(abs, self.entries)) * sum(map(abs, other.entries))
         return not abs(x * x + y * y + z * z - x * y * z - 4.0) > 16 * 2.0**-52 * size * size  # NaN included
 
 

@@ -34,17 +34,17 @@ call only the kernels, as do the library's own callers (map measurement,
 homotopies, widths, relaxation, orbit distances).
 ``_geodesic_points(p, q, ts)`` is ``_geodesic_point`` at each t, bit for
 bit, doing once what does not depend on t; the comparison sweep uses it.
-Each model supplies ``_span``, ``_step`` and ``_track_lengths`` (d(x_t,
-y_t) along two geodesics, no point built), and ``Space`` owns the
-endpoint rules, in ``_walk``.  The check is the model's ``_check_point``:
-``validate_point`` on the tree models and Euclidean space, type and shape
-only on the hyperbolic plane, whose isometry images drift off the sheet in
-the last digits.  Tree points come from one trusted constructor per tree
-model, ``_edge_point``; the public ``edge_point`` checks through
-``validate_point`` first.  The hyperbolic kernels and local solver run on
-Python floats, with numpy's operations in the same order; only the solver's
-3-term dot and matrix-vector sums, taken left to right, may differ from
-numpy's.
+Each model supplies ``_span``, ``_step`` and ``_track_lengths`` (d(x_t, y_t)
+along two geodesics, no point built); ``Space`` owns the endpoint rules, in
+``_walk``, and the hyperbolic track loop repeats them.  The check is the
+model's ``_check_point``: ``validate_point`` on the tree models and Euclidean
+space, type and shape only on the hyperbolic plane, whose isometry images
+drift off the sheet in the last digits.  Tree points come from one trusted
+constructor per tree model, ``_edge_point``; the public ``edge_point`` checks
+through ``validate_point`` first.  The hyperbolic kernels and local solver
+run on Python floats, with numpy's operations in the same order; only the
+solver's 3-term dot and matrix-vector sums, taken left to right, may differ
+from numpy's.
 
 JSON forms::
 
@@ -211,7 +211,7 @@ class Space:
         return self._point_from_json(data)
 
     def _point_from_json(self, data: dict):
-        return self.point(data["coords"])
+        return self.point(json_array(data, "coords"))
 
     # harmonic relaxation and the width-constant precondition --------------
 
@@ -354,10 +354,15 @@ def _h_dist(p, q) -> float:
 
 
 def _h_step(span: tuple, t: float) -> tuple:
-    """The point at 0 < t < 1 of the geodesic that ``HyperbolicPlane._span`` describes."""
+    """The point at 0 < t < 1 of the geodesic that ``HyperbolicPlane._span`` describes, with ``_sheet`` inline."""
     (p0, p1, p2), (q0, q1, q2), d, s = span
     a, b = math.sinh((1.0 - t) * d) / s, math.sinh(t * d) / s
-    return _sheet(a * p0 + b * q0, a * p1 + b * q1, a * p2 + b * q2)
+    r0, r1, r2 = a * p0 + b * q0, a * p1 + b * q1, a * p2 + b * q2
+    m = r0 * r0 - r1 * r1 - r2 * r2
+    if not (m > 0.0 and r0 > 0.0):  # NaN included
+        raise InvalidPointError("point is not on the upper hyperboloid sheet")
+    n = math.sqrt(m)
+    return r0 / n, r1 / n, r2 / n
 
 
 def _h_exp(p, v):
@@ -369,6 +374,15 @@ def _h_exp(p, v):
     nrm = math.sqrt(nrm2)
     c, s = math.cosh(nrm), math.sinh(nrm) / nrm
     return _sheet(c * p[0] + s * v0, c * p[1] + s * v1, c * p[2] + s * v2)
+
+
+def _h_act(m, y) -> tuple:
+    """A y for A's entries m = (a, b, c, d): (A S) A^T in this order, S = [[y0 + y1, y2], [y2, y0 - y1]]."""
+    (a, b, c, d), (y0, y1, y2) = m, y
+    s00, s11 = y0 + y1, y0 - y1
+    m00, m01, m10, m11 = a * s00 + b * y2, a * y2 + b * s11, c * s00 + d * y2, c * y2 + d * s11
+    r00, r11 = m00 * a + m01 * b, m10 * c + m11 * d
+    return 0.5 * (r00 + r11), 0.5 * (r00 - r11), m00 * c + m01 * d
 
 
 def _h_apply(b, y) -> tuple:
@@ -446,7 +460,7 @@ class HyperbolicPlane(Space):
 
     def _point_from_json(self, data: dict) -> np.ndarray:
         # coordinates that pass validate_point load as written; point() renormalises or refuses the rest
-        x = np.asarray(data["coords"], dtype=float)
+        x = np.asarray(json_array(data, "coords"), dtype=float)
         return x if x.shape == (3,) and self._on_sheet(x) else self.point(x)
 
     def _dist(self, p, q) -> float:
@@ -463,16 +477,19 @@ class HyperbolicPlane(Space):
         return np.array(_h_step(span, t))
 
     def _floats(self, p, q, ts) -> list:
-        """``_geodesic_points`` as the float sequences that ``_dist`` makes of them: bit for bit."""
-        return self._walk(self._span(p, q), p.tolist(), q.tolist(), np.asarray(ts, dtype=float).tolist(), _h_step)
+        """``_geodesic_points`` as the float sequences that ``_dist`` makes of them, bit for bit, from one distance."""
+        pl, ql = p.tolist(), q.tolist()
+        d = _h_dist(pl, ql)
+        span, ts = (pl, ql, d, math.sinh(d)), np.asarray(ts, dtype=float).tolist()
+        return [ql if t == 1.0 else pl if t == 0.0 or d == 0.0 else _h_step(span, t) for t in ts]
 
     def _track_lengths(self, a, b, c, d, ts) -> list:
         return list(map(_h_dist, self._floats(a, b, ts), self._floats(c, d, ts)))
 
     def _edge_track_lengths(self, a, b, c, d, g, far, ts) -> list:
-        """g applied to each point of c -> d: ``_sheet`` would lose cosh^2 R of precision at far ends of radius R."""
+        """g's entries applied to each point of c -> d: a step loses cosh^2 R of precision at far ends of radius R."""
         ys = self._floats(c, d, ts)
-        return list(map(_h_dist, self._floats(a, b, ts), ys if g is None else [g.apply(y).tolist() for y in ys]))
+        return list(map(_h_dist, self._floats(a, b, ts), ys if g is None else [_h_act(g.entries, y) for y in ys]))
 
     def from_polar(self, radius: float, angle: float) -> np.ndarray:
         return np.array(
@@ -996,6 +1013,17 @@ def json_field(data: dict, key: str, kind: type):
     if type(v) is not int and (kind is int or not isinstance(v, float)):
         raise TypeError(f"{key!r} must be a JSON {'integer' if kind is int else 'number'}, not {v!r}")
     return kind(v)
+
+
+def json_array(data: dict, key: str):
+    """``data[key]``, arrays of numbers held to ``json_field``'s float rule; a null goes on to the finiteness checks."""
+    entries = [data[key]]
+    for v in entries:  # grows as nested arrays are opened
+        if isinstance(v, list):
+            entries += v
+        elif v is not None:
+            json_field({key: v}, key, float)
+    return data[key]
 
 
 # ---------------------------------------------------------------------------

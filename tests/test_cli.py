@@ -22,6 +22,16 @@ from geowidth.spaces import CayleyTree, EuclideanSpace, HyperbolicPlane, MetricT
 from conftest import readme_rep, window_tree
 
 
+def euclidean_map_text(matrix=((1, 0), (0, 1)), translation=(1, 0), coords=(0, 0)) -> str:
+    """A one-loop map into the plane, its generator and image given as JSON arrays."""
+    rep = {"space": {"model": "euclidean", "dim": 2}, "generators": [{"matrix": matrix, "translation": translation}]}
+    return json.dumps({
+        "graph": {"vertices": [0], "edges": [{"src": 0, "tgt": 0, "len": 1, "label": "a"}]},
+        "images": {"0": {"model": "euclidean", "coords": coords}},
+        "representation": rep,
+    })
+
+
 def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
@@ -685,6 +695,13 @@ class TestFuzz:
                     '"representation": {"space": {"model": "cayley", "rank": 1}, "generators": [{"word": "a"}]}}'),
             ("basepoint", '{"model": "cayley", "word": "a", "letter": "b", "t": "0.5"}'),
             ("basepoint", '{"model": "cayley", "word": "a", "letter": "b", "t": true}'),
+            ("rep", '{"space": {"model": "hyperbolic"}, "generators": [{"matrix": [["2", 1], [1, 1]]}]}'),
+            ("rep", '{"space": {"model": "hyperbolic"}, "generators": [{"matrix": [[2, 1], [1, true]]}]}'),
+            ("hyperbolic-basepoint", '{"model": "hyperbolic", "coords": ["1", 0, 0]}'),
+            ("hyperbolic-basepoint", '{"model": "hyperbolic", "coords": [1, 0, false]}'),
+            ("map", euclidean_map_text(matrix=[["1", 0], [0, 1]])),
+            ("map", euclidean_map_text(translation=[True, 0])),
+            ("map", euclidean_map_text(coords=["1", 0])),
         ],
         ids=[
             "tree-len", "matrix-string", "matrix-ragged", "dim-string", "word-number", "basepoint-word", "basepoint-t",
@@ -693,6 +710,8 @@ class TestFuzz:
             "dim-fraction", "dim-bool", "dim-digits", "rank-fraction", "rank-bool", "rank-digits",
             "edge-fraction", "edge-bool", "edge-digits", "offset-digits", "tree-len-digits", "tree-len-bool",
             "map-len-digits", "basepoint-t-digits", "basepoint-t-bool",
+            "matrix-entry-digits", "matrix-entry-bool", "coords-digits", "coords-bool",
+            "euclidean-matrix-digits", "euclidean-translation-bool", "euclidean-coords-digits",
         ],
     )
     def test_wrongly_typed_json_is_config_error(

@@ -35,6 +35,8 @@ from conftest import all_model_spaces
 
 SPACES = all_model_spaces()
 seeds = st.integers(0, 2**32 - 1)
+#: words of up to 6 letters in two generators
+short_words = st.lists(st.sampled_from([1, 2, -1, -2]), max_size=6).map(tuple)
 
 
 def endpoints(space, seed, vertices):
@@ -310,9 +312,28 @@ def test_track_lengths_match_the_distances_of_geodesic_points(name, seed, vertex
     got = space._track_lengths(a, b, c, d, ts)
     expected = [space._dist(space._geodesic_point(a, b, t), space._geodesic_point(c, d, t)) for t in ts]
     assert all(type(x) is float for x in got)
+    if space.model == "hyperbolic":  # the kernel runs _geodesic_point's arithmetic on floats
+        assert got == expected
     assert np.all(np.abs(np.array(got) - expected) <= 1e-12 * np.maximum(1.0, expected))
     if pattern == "same":
         assert got == [0.0] * len(ts)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=seeds,
+    word=short_words,
+    ts=st.lists(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)), max_size=12),
+)
+def test_hyperbolic_edge_track_lengths_apply_the_isometry_to_each_point(seed, word, ts):
+    # the kernel applies g from its entries; the public apply of each geodesic point is the referee, bit for bit
+    space, g = SPACES["hyperbolic"], ACTIONS["hyperbolic"].evaluate(word)
+    a, b = endpoints(space, seed, (False, False))
+    c, d = endpoints(space, seed + 1, (False, False))
+    ts = [0.0, *ts, 1.0]
+    got = space._edge_track_lengths(a, b, c, d, g, (g.apply(c), g.apply(d)), ts)
+    assert got == [space._dist(space._geodesic_point(a, b, t), g.apply(space._geodesic_point(c, d, t))) for t in ts]
+    assert space._edge_track_lengths(a, b, c, d, None, (c, d), ts) == space._track_lengths(a, b, c, d, ts)
 
 
 @pytest.mark.parametrize(
@@ -359,6 +380,60 @@ def test_infinitely_far_hyperbolic_pair_keeps_its_endpoints():
         space._geodesic_point(p, q, 0.5)
     with pytest.raises(InvalidPointError):
         space._geodesic_points(p, q, [0.0, 0.5, 1.0])
+
+
+# ---------------------------------------------------------------------------
+# hyperbolic isometries on the float entries of their matrices
+
+
+def numpy_apply(g, p):
+    """A S A^T as numpy 2x2 products, S = [[x0 + x1, x2], [x2, x0 - x1]]: the referee of the float ``apply``."""
+    a = g.matrix
+    x = a @ np.array([[p[0] + p[1], p[2]], [p[2], p[0] - p[1]]]) @ a.T
+    return np.array([0.5 * (x[0, 0] + x[1, 1]), 0.5 * (x[0, 0] - x[1, 1]), x[0, 1]])
+
+
+def seeded_isometries(rng, count):
+    """Isometries of seeded real matrices, with entries of sizes 1e-1 to 1e1."""
+    gens = []
+    for _ in range(count):
+        m = rng.standard_normal((2, 2)) * 10.0 ** rng.uniform(-1.0, 1.0, size=(2, 2))
+        gens.append(HyperbolicIsometry(m if np.linalg.det(m) > 0.0 else m[::-1]))
+    return gens
+
+
+def size(g):
+    """The sum of the absolute entries of g's matrix."""
+    return sum(map(abs, g.entries))
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=seeds, word=short_words, radius=st.floats(0.0, 12.0))
+def test_float_apply_matches_the_numpy_product(seed, word, radius):
+    rng = np.random.default_rng(seed)
+    g = Representation(SPACES["hyperbolic"], seeded_isometries(rng, 2), check_samples=0).evaluate(word)
+    p = SPACES["hyperbolic"].from_polar(radius, float(rng.uniform(0.0, 2.0 * math.pi)))
+    got = g.apply(p)
+    assert got.dtype == np.float64 and got.shape == (3,)
+    # each coordinate sums products of two entries and one of x0 +- x1, x2: a few ulps of their absolute sum
+    assert np.all(np.abs(got - numpy_apply(g, p)) <= 4 * 2.0**-52 * size(g) ** 2 * np.abs(p).sum())
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=seeds, u=short_words, w=short_words, radius=st.floats(0.0, 8.0))
+def test_float_isometries_compose_and_preserve_distances(seed, u, w, radius):
+    space = SPACES["hyperbolic"]
+    rng = np.random.default_rng(seed)
+    rho = Representation(space, seeded_isometries(rng, 2), check_samples=0)
+    g, h = rho.evaluate(u), rho.evaluate(w)
+    p, q = (space.from_polar(radius * float(rng.uniform()), float(rng.uniform(0.0, 2.0 * math.pi))) for _ in range(2))
+    eps = 2.0**-52
+    composed, stepwise = g.compose(h).apply(p), g.apply(h.apply(p))
+    assert np.all(np.abs(composed - stepwise) <= 8 * eps * (size(g) * size(h)) ** 2 * np.abs(p).sum())
+    # d = 2 asinh(|x - y|_M / 2) rounds as eps times the squared coordinate size, over d near 0
+    gp, gq, d = g.apply(p), g.apply(q), space._dist(p, q)
+    scale = max(np.abs(x).max() for x in (p, q, gp, gq)) ** 2
+    assert abs(space._dist(gp, gq) - d) <= 32 * eps * scale / min(1.0, max(d, 1e-3))
 
 
 def h_exp(p, v):
