@@ -34,17 +34,17 @@ call only the kernels, as do the library's own callers (map measurement,
 homotopies, widths, relaxation, orbit distances).
 ``_geodesic_points(p, q, ts)`` is ``_geodesic_point`` at each t, bit for
 bit, doing once what does not depend on t; the comparison sweep uses it.
-Each model supplies ``_span``, ``_step`` and ``_track_lengths`` (d(x_t, y_t)
-along two geodesics, no point built); ``Space`` owns the endpoint rules, in
-``_walk``, and the hyperbolic track loop repeats them.  The check is the
-model's ``_check_point``: ``validate_point`` on the tree models and Euclidean
-space, type and shape only on the hyperbolic plane, whose isometry images
-drift off the sheet in the last digits.  Tree points come from one trusted
-constructor per tree model, ``_edge_point``; the public ``edge_point`` checks
-through ``validate_point`` first.  The hyperbolic kernels and local solver
-run on Python floats, with numpy's operations in the same order; only the
-solver's 3-term dot and matrix-vector sums, taken left to right, may differ
-from numpy's.
+Each model supplies ``_span``, ``_step`` and ``_track_lengths`` (d(x_t,
+y_t) along two geodesics, no point built), and ``Space`` owns the
+endpoint rules, in ``_walk``.  The check is the model's ``_check_point``:
+``validate_point`` on the tree models and Euclidean space, type and shape
+only on the hyperbolic plane, whose isometry images drift off the sheet in
+the last digits.  Tree points come from one trusted constructor per tree
+model, ``_edge_point``; the public ``edge_point`` checks through
+``validate_point`` first.  The hyperbolic kernels and local solver run on
+Python floats, with numpy's operations in the same order; only the solver's
+3-term dot and matrix-vector sums, taken left to right, may differ from
+numpy's.
 
 JSON forms::
 
@@ -354,15 +354,10 @@ def _h_dist(p, q) -> float:
 
 
 def _h_step(span: tuple, t: float) -> tuple:
-    """The point at 0 < t < 1 of the geodesic that ``HyperbolicPlane._span`` describes, with ``_sheet`` inline."""
+    """The point at 0 < t < 1 of the geodesic that ``HyperbolicPlane._span`` describes."""
     (p0, p1, p2), (q0, q1, q2), d, s = span
     a, b = math.sinh((1.0 - t) * d) / s, math.sinh(t * d) / s
-    r0, r1, r2 = a * p0 + b * q0, a * p1 + b * q1, a * p2 + b * q2
-    m = r0 * r0 - r1 * r1 - r2 * r2
-    if not (m > 0.0 and r0 > 0.0):  # NaN included
-        raise InvalidPointError("point is not on the upper hyperboloid sheet")
-    n = math.sqrt(m)
-    return r0 / n, r1 / n, r2 / n
+    return _sheet(a * p0 + b * q0, a * p1 + b * q1, a * p2 + b * q2)
 
 
 def _h_exp(p, v):
@@ -477,11 +472,8 @@ class HyperbolicPlane(Space):
         return np.array(_h_step(span, t))
 
     def _floats(self, p, q, ts) -> list:
-        """``_geodesic_points`` as the float sequences that ``_dist`` makes of them, bit for bit, from one distance."""
-        pl, ql = p.tolist(), q.tolist()
-        d = _h_dist(pl, ql)
-        span, ts = (pl, ql, d, math.sinh(d)), np.asarray(ts, dtype=float).tolist()
-        return [ql if t == 1.0 else pl if t == 0.0 or d == 0.0 else _h_step(span, t) for t in ts]
+        """``_geodesic_points`` as the float sequences that ``_dist`` makes of them: bit for bit."""
+        return self._walk(self._span(p, q), p.tolist(), q.tolist(), np.asarray(ts, dtype=float).tolist(), _h_step)
 
     def _track_lengths(self, a, b, c, d, ts) -> list:
         return list(map(_h_dist, self._floats(a, b, ts), self._floats(c, d, ts)))
