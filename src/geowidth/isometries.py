@@ -5,7 +5,7 @@ Four isometry families, one per model:
 * ``EuclideanIsometry`` -- orthogonal matrix + translation;
 * ``HyperbolicIsometry`` -- a real 2x2 matrix A of determinant 1, held as
   its four float ``entries``, acting on the hyperboloid through X -> (A X) A^T
-  with X = [[x0+x1, x2], [x2, x0-x1]], in plain float arithmetic (the
+  with X = [[x0+x1, x2], [x2, x0-x1]], by ``spaces._h_act`` alone (the
   PSL(2,R) = SO(2,1)+ action; A and -A act identically);
 * ``TreeAutomorphism`` -- a length-compatible vertex permutation of a finite
   metric tree;
@@ -187,10 +187,6 @@ class HyperbolicIsometry(Isometry):
 
     def apply(self, p):
         return np.array(_h_act(self.entries, p.tolist()))
-
-    def so21_matrix(self) -> np.ndarray:
-        """The induced 3x3 matrix acting on hyperboloid coordinates."""
-        return np.column_stack([self.apply(basis) for basis in np.eye(3)])
 
     def compose(self, other: "HyperbolicIsometry") -> "HyperbolicIsometry":
         (a, b, c, d), (e, f, g, h) = self.entries, other.entries

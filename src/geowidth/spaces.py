@@ -42,9 +42,9 @@ only on the hyperbolic plane, whose isometry images drift off the sheet in
 the last digits.  Tree points come from one trusted constructor per tree
 model, ``_edge_point``; the public ``edge_point`` checks through
 ``validate_point`` first.  The hyperbolic kernels and local solver run on
-Python floats, with numpy's operations in the same order; only the solver's
-3-term dot and matrix-vector sums, taken left to right, may differ from
-numpy's.
+Python floats, with numpy's operations in the same order; an isometry acts on
+a point only through ``_h_act`` on its four matrix entries, so the objective
+that the local solver descends is ``local_value``, bit for bit.
 
 JSON forms::
 
@@ -330,14 +330,14 @@ def _safe_ratio(phi: float, h: float) -> float:
     return phi / math.sqrt(s2)
 
 
-# Hyperbolic arithmetic on Python floats: points are 3-tuples, an SO(2,1)
-# matrix is a row-major 9-tuple.
+# Hyperbolic arithmetic on Python floats: points are 3-tuples, an isometry
+# is the 4-tuple of its 2x2 matrix entries.
 
 
 def _sheet(r0: float, r1: float, r2: float) -> tuple:
     """The point (r0, r1, r2) scaled onto the upper hyperboloid sheet."""
     m = r0 * r0 - r1 * r1 - r2 * r2
-    if not (m > 0.0 and r0 > 0.0):  # NaN included
+    if not (0.0 < m < math.inf and r0 > 0.0):  # NaN included; an overflowed square would scale to (0, 0, 0)
         raise InvalidPointError("point is not on the upper hyperboloid sheet")
     n = math.sqrt(m)
     return r0 / n, r1 / n, r2 / n
@@ -380,39 +380,31 @@ def _h_act(m, y) -> tuple:
     return 0.5 * (r00 + r11), 0.5 * (r00 - r11), m00 * c + m01 * d
 
 
-def _h_apply(b, y) -> tuple:
-    b00, b01, b02, b10, b11, b12, b20, b21, b22 = b
-    y0, y1, y2 = y
-    return b00 * y0 + b01 * y1 + b02 * y2, b10 * y0 + b11 * y1 + b12 * y2, b20 * y0 + b21 * y1 + b22 * y2
-
-
-def _h_value(y, points, mats) -> float:
-    """The local objective at y: Space.local_value, with A y as an SO(2,1) product."""
+def _h_value(y, points, loops) -> float:
+    """The local objective at y: Space.local_value, bit for bit, for loops (w, A's entries, A^-1's entries)."""
     total = 0.0
     for w, p in points:
         total += w * _h_dist(y, p) ** 2
-    for w, b in mats:
-        total += w * _h_dist(y, _h_apply(b, y)) ** 2
+    for w, m, _ in loops:
+        total += w * _h_dist(y, _h_act(m, y)) ** 2
     return total
 
 
-def _h_grad(y, points, mats) -> tuple:
-    """Riemannian gradient at y: the ambient sum of w 2 phi / sqrt(h^2 - 1) grad h, projected onto T_y;
-    h = <y, p> with grad h = J p, or h = <y, B y> with J B y + B^T J y, and J = diag(1, -1, -1)."""
+def _h_grad(y, points, loops) -> tuple:
+    """Riemannian gradient at y: the ambient sum of w 2 phi / sqrt(h^2 - 1) grad h, projected onto T_y; h = <y, p> with
+    grad h = J p, J = diag(1, -1, -1), or h = <y, B y> with J B y + B^T J y, B the SO(2,1) action of A.  B^T J B = J
+    makes B^T J y = J B^-1 y: a loop adds the terms of two points, A y and A^-1 y, at one h = <y, A y> = <y, A^-1 y>."""
     y0, y1, y2 = y
     a0 = a1 = a2 = 0.0
     for w, p in points:
         p0, p1, p2 = p
         c = w * 2.0 * _safe_ratio(_h_dist(y, p), y0 * p0 - y1 * p1 - y2 * p2)
         a0, a1, a2 = a0 + c * p0, a1 - c * p1, a2 - c * p2
-    for w, b in mats:
-        b00, b01, b02, b10, b11, b12, b20, b21, b22 = b
-        by0, by1, by2 = _h_apply(b, y)
+    for w, m, mi in loops:
+        (by0, by1, by2), (iy0, iy1, iy2) = _h_act(m, y), _h_act(mi, y)
         h = y0 * by0 - y1 * by1 - y2 * by2
         c = w * 2.0 * _safe_ratio(math.acosh(max(h, 1.0)), h)
-        a0 += c * (by0 + (b00 * y0 - b10 * y1 - b20 * y2))
-        a1 += c * ((b01 * y0 - b11 * y1 - b21 * y2) - by1)
-        a2 += c * ((b02 * y0 - b12 * y1 - b22 * y2) - by2)
+        a0, a1, a2 = a0 + c * (by0 + iy0), a1 - c * (by1 + iy1), a2 - c * (by2 + iy2)
     s = y0 * a0 + y1 * a1 + y2 * a2
     return s * y0 - a0, a1 + s * y1, a2 + s * y2
 
@@ -433,7 +425,8 @@ class HyperbolicPlane(Space):
 
     @staticmethod
     def minkowski(p, q) -> float:
-        return float(p[0] * q[0] - p[1] * q[1] - p[2] * q[2])
+        """<p, q> on Python floats, whose overflow is inf without a NumPy warning."""
+        return float(p[0]) * float(q[0]) - float(p[1]) * float(q[1]) - float(p[2]) * float(q[2])
 
     def normalize(self, x: np.ndarray) -> np.ndarray:
         return np.array(_sheet(*x.tolist()))
@@ -496,14 +489,14 @@ class HyperbolicPlane(Space):
     def local_min(self, y0, point_terms, iso_terms):
         """Riemannian gradient descent with Armijo backtracking, on floats converted once at entry.
 
-        A trial step that rounding carries off the sheet fails like one without enough decrease."""
+        A trial step that rounding carries off the sheet or past float range fails like one without enough decrease."""
         points = [(w, tuple(p.tolist())) for w, p in point_terms]
-        mats = [(w, tuple(a.so21_matrix().ravel().tolist())) for w, a in iso_terms]
+        loops = [(w, a.entries, a.inverse().entries) for w, a in iso_terms]
         y = start = tuple(y0.tolist())
-        f = _h_value(y, points, mats)
+        f = _h_value(y, points, loops)
         step = 0.25 / max(sum(w for w, _ in point_terms) + sum(w for w, _ in iso_terms), 1e-12)
         for _ in range(MAX_INNER_ITERATIONS):
-            g0, g1, g2 = _h_grad(y, points, mats)
+            g0, g1, g2 = _h_grad(y, points, loops)
             gnorm = math.sqrt(max(-(g0 * g0 - g1 * g1 - g2 * g2), 0.0))
             if gnorm < 1e-9:
                 break
@@ -515,7 +508,7 @@ class HyperbolicPlane(Space):
                 except (InvalidPointError, OverflowError):  # a failed trial
                     t *= ARMIJO_BACKTRACK
                     continue
-                f_try = _h_value(y_try, points, mats)
+                f_try = _h_value(y_try, points, loops)
                 if f_try <= f - ARMIJO_SLOPE * t * gnorm * gnorm:
                     # refuse steps that no longer move the objective: they only
                     # drift the iterate along flat directions of the local term

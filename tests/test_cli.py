@@ -702,6 +702,7 @@ class TestFuzz:
             ("map", euclidean_map_text(matrix=[["1", 0], [0, 1]])),
             ("map", euclidean_map_text(translation=[True, 0])),
             ("map", euclidean_map_text(coords=["1", 0])),
+            ("hyperbolic-basepoint", '{"model": "hyperbolic", "coords": [1e200, 0, 0]}'),
         ],
         ids=[
             "tree-len", "matrix-string", "matrix-ragged", "dim-string", "word-number", "basepoint-word", "basepoint-t",
@@ -711,7 +712,7 @@ class TestFuzz:
             "edge-fraction", "edge-bool", "edge-digits", "offset-digits", "tree-len-digits", "tree-len-bool",
             "map-len-digits", "basepoint-t-digits", "basepoint-t-bool",
             "matrix-entry-digits", "matrix-entry-bool", "coords-digits", "coords-bool",
-            "euclidean-matrix-digits", "euclidean-translation-bool", "euclidean-coords-digits",
+            "euclidean-matrix-digits", "euclidean-translation-bool", "euclidean-coords-digits", "basepoint-overflow",
         ],
     )
     def test_wrongly_typed_json_is_config_error(

@@ -124,14 +124,6 @@ class TestHyperbolicIsometry:
             g = HyperbolicIsometry(m)
             assert np.array_equal(HyperbolicIsometry.from_json(HyperbolicPlane(), g.to_json()).matrix, g.matrix)
 
-    def test_so21_matrix_agrees(self):
-        g = HyperbolicIsometry([[2.0, 1.0], [1.0, 1.0]])
-        m = g.so21_matrix()
-        space = HyperbolicPlane()
-        rng = np.random.default_rng(8)
-        p = space.random_point(rng)
-        assert np.allclose(m @ p, g.apply(p), atol=1e-9)
-
 
 class TestTreeAutomorphism:
     def tripod(self):

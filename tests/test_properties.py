@@ -473,6 +473,16 @@ LOOPS = [
 ]
 
 
+def so21(a):
+    """The 3x3 matrix of a's action on hyperboloid coordinates, from three public ``apply`` calls."""
+    return np.column_stack([a.apply(basis) for basis in np.eye(3)])
+
+
+def loop_terms(iso_terms):
+    """Loop terms as the float solver takes them: (w, A's entries, A^-1's entries)."""
+    return [(w, a.entries, a.inverse().entries) for w, a in iso_terms]
+
+
 def reference_grad(space, y, point_terms, iso_mats):
     """The numpy Riemannian gradient that ``spaces._h_grad`` replaces."""
     ambient = np.zeros(3)
@@ -489,7 +499,7 @@ def reference_grad(space, y, point_terms, iso_mats):
 
 def reference_local_min(space, y0, point_terms, iso_terms):
     """The numpy solver that the float ``HyperbolicPlane.local_min`` replaces, with its off-sheet rule."""
-    iso_mats = [(w, a.so21_matrix()) for w, a in iso_terms]
+    iso_mats = [(w, so21(a)) for w, a in iso_terms]
     y, f = y0, space.local_value(y0, point_terms, iso_terms)
     step = 0.25 / max(sum(w for w, _ in point_terms) + sum(w for w, _ in iso_terms), 1e-12)
     for _ in range(MAX_INNER_ITERATIONS):
@@ -571,11 +581,44 @@ def test_float_gradient_matches_mpmath_reference(seed):
     y, point_terms, iso_terms = local_instance(seed, 8.0)
     y = tuple(y.tolist())
     points = [(w, tuple(p.tolist())) for w, p in point_terms]
-    mats = [(w, tuple(a.so21_matrix().ravel().tolist())) for w, a in iso_terms]
+    mats = [(w, tuple(so21(a).ravel().tolist())) for w, a in iso_terms]
     ref, ambient = mpmath_grad(y, points, mats)
-    got = spaces._h_grad(y, points, mats)
+    got = spaces._h_grad(y, points, loop_terms(iso_terms))
     bound = 1e-9 * max(map(abs, ref)) + 4 * 2.0**-52 * sum(x * x for x in y) * max(map(abs, ambient))
     assert max(abs(g - r) for g, r in zip(got, ref)) <= bound
+
+
+def test_float_objective_is_local_value_bit_for_bit():
+    # the solver descends the objective that relax's guard compares: both apply each loop through _h_act
+    space = SPACES["hyperbolic"]
+    for seed in range(3000):
+        y, point_terms, _ = local_instance(seed, 8.0)
+        rng = np.random.default_rng([seed, 1])
+        isos = [LOOPS[int(rng.integers(len(LOOPS)))] if rng.random() < 0.5 else seeded_isometries(rng, 1)[0]
+                for _ in range(int(rng.integers(1, 3)))]
+        iso_terms = [(float(rng.uniform(0.2, 2.0)), a) for a in isos]
+        points = [(w, tuple(p.tolist())) for w, p in point_terms]
+        got = spaces._h_value(tuple(y.tolist()), points, loop_terms(iso_terms))
+        assert got == space.local_value(y, point_terms, iso_terms), seed
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=seeds, radius=st.floats(0.0, 10.0), w=st.floats(0.2, 2.0))
+def test_loop_gradient_is_that_of_two_point_terms(seed, radius, w):
+    # B^T J y = J B^-1 y on SO(2,1), so w d^2(y, A y) adds the ambient terms of point terms at A y and A^-1 y.
+    # The point terms take phi from the difference form and h from their own product, which round as eps S^2,
+    # S^2 the largest squared norm of y, A y and A^-1 y; sqrt(h^2 - 1) scales that by S^2 / (h^2 - 1).
+    rng = np.random.default_rng(seed)
+    a = LOOPS[int(rng.integers(len(LOOPS)))] if rng.random() < 0.5 else seeded_isometries(rng, 1)[0]
+    y = tuple(SPACES["hyperbolic"].from_polar(radius, float(rng.uniform(0.0, 2.0 * math.pi))).tolist())
+    ay, iy = spaces._h_act(a.entries, y), spaces._h_act(a.inverse().entries, y)
+    loop = spaces._h_grad(y, [], loop_terms([(w, a)]))
+    points = spaces._h_grad(y, [(w, ay), (w, iy)], [])
+    h = y[0] * ay[0] - y[1] * ay[1] - y[2] * ay[2]
+    ambient = w * 2.0 * spaces._safe_ratio(math.acosh(max(h, 1.0)), h) * max(abs(u + v) for u, v in zip(ay, iy))
+    s2 = max(sum(x * x for x in v) for v in (y, ay, iy))
+    bound = 16 * 2.0**-52 * s2 * ambient * (1.0 + s2 / max(h * h - 1.0, 1e-300))
+    assert max(abs(g - r) for g, r in zip(loop, points)) <= bound
 
 
 @settings(max_examples=60, deadline=None)
@@ -593,13 +636,13 @@ def test_float_local_min_matches_numpy_reference(seed):
 
 
 class FrozenLoop:
-    """A loop isometry that offers only its SO(2,1) matrix."""
+    """A loop isometry that offers only its entries and its inverse."""
 
     def __init__(self, a):
-        self.matrix = a.so21_matrix()
+        self.a, self.entries = a, a.entries
 
-    def so21_matrix(self):
-        return self.matrix
+    def inverse(self):
+        return FrozenLoop(self.a.inverse())
 
 
 def test_local_min_runs_on_floats_only(monkeypatch):

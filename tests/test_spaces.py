@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from geowidth import spaces
 from geowidth.equivariant import build_bouquet_map
 from geowidth.errors import DomainError, InvalidPointError, ModelMismatchError
 from geowidth.isometries import CayleyTranslation, HyperbolicIsometry, TreeAutomorphism
@@ -530,6 +531,20 @@ class TestConstruction:
         with pytest.raises(InvalidPointError):
             hyperbolic.point([1, 2, 0])  # spacelike, cannot rescale onto the sheet
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda h: h.point([1e200, 0.0, 0.0]),
+            lambda h: h.normalize(h.from_polar(355.75, math.pi / 4)),
+            lambda h: spaces._h_exp((1.0, 0.0, 0.0), (0.0, 355.75 / math.sqrt(2.0), 355.75 / math.sqrt(2.0))),
+        ],
+        ids=["point", "normalize", "exp"],
+    )
+    def test_overflowed_minkowski_square_is_refused(self, hyperbolic, call):
+        # x0^2 overflows alone, so x0^2 - x1^2 - x2^2 is inf and scaling by its root would give (0, 0, 0)
+        with pytest.raises(InvalidPointError):
+            call(hyperbolic)
+
     def test_hyperbolic_nan_point_refused(self, hyperbolic):
         p = np.array([math.nan, 0.0, 0.0])
         with pytest.raises(InvalidPointError):
@@ -549,6 +564,18 @@ class TestHyperbolicLocalMin:
             y0 = hyperbolic.random_point(np.random.default_rng(k))
             y = hyperbolic.local_min(y0, [], loop)
             assert hyperbolic.local_value(y, [], loop) <= hyperbolic.local_value(y0, [], loop)
+
+    @pytest.mark.parametrize("r", [89.57, 89.6])
+    def test_trial_step_past_float_range_fails(self, hyperbolic, r):
+        # from the origin, a loop whose axis lies r away along pi/4 makes a first trial of about 4 r, whose x0^2
+        # alone overflows: _dist reads 0 to (0, 0, 0), so taking it would look like an exact minimum
+        c, s = math.cos(math.pi / 8), math.sin(math.pi / 8)
+        d = HyperbolicIsometry([[math.exp(r / 2), 0.0], [0.0, math.exp(-r / 2)]])
+        rot = HyperbolicIsometry([[c, -s], [s, c]])
+        axial = HyperbolicIsometry([[math.cosh(0.5), math.sinh(0.5)], [math.sinh(0.5), math.cosh(0.5)]])
+        loop = rot.compose(d).compose(axial).compose(d.inverse()).compose(rot.inverse())
+        y = hyperbolic.local_min(hyperbolic.point([1.0, 0.0, 0.0]), [], [(1.0, loop)])
+        assert np.all(np.isfinite(y)) and y[0] >= 1.0
 
 
 # Reference builders: tree points as they were made before the trusted constructors, each through the public,
