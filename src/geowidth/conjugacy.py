@@ -60,13 +60,14 @@ class ConjugacyInstance:
         """Word equality is exact free-group equality unless a matrix rep is given."""
         return self.rep is None or self.rep.kind == CayleyTranslation.kind
 
-    def conjugated_by(self, g: words.Word) -> bool:
-        """Whether b_i = g^-1 a_i g, tested as g b_i = a_i g, for every i, as free-group words."""
-        return all(words.multiply(g, b) == words.multiply(a, g) for a, b in zip(self.lists_a, self.lists_b))
-
     def evaluated_pairs(self) -> list:
         """The isometries (A_i, B_i) of the pairs under the representation."""
         return [(self.rep.evaluate(a), self.rep.evaluate(b)) for a, b in zip(self.lists_a, self.lists_b)]
+
+
+def _conjugates(g: words.Word, pairs) -> bool:
+    """Whether b = g^-1 a g, tested as g b = a g, for every pair (a, b), as free-group words."""
+    return all(words.multiply(g, b) == words.multiply(a, g) for a, b in pairs)
 
 
 def _matches(pairs, g_iso):
@@ -145,7 +146,7 @@ def solve(inst: ConjugacyInstance) -> ConjugacyCertificate:
     return _certificate(t0, VERDICT_NOT_CONJUGATE_UP_TO, enumerated=enumerated, radius=cap)
 
 
-def _oracle_m_max(inst: ConjugacyInstance, g0: words.Word, root: words.Word) -> int:
+def _oracle_m_max(cs, lists_b, root: words.Word) -> int:
     """Window [-M, M] holding m when S = {m} (see :func:`free_group_oracle`).
 
     M = ceil(W / (2 tau)) + 1 with W = max_i (|c_i| + |b_i|) and tau = |root|,
@@ -163,8 +164,7 @@ def _oracle_m_max(inst: ConjugacyInstance, g0: words.Word, root: words.Word) -> 
     |c_i| + |b_i| = d(e, c_i e) + d(z^m e, c_i z^m e) >= 2 ||c_i|| +
     2 (|m| tau - l) > 2 tau (|m| - 1), so |m| < W / (2 tau) + 1.
     """
-    pairs = zip(inst.lists_a, inst.lists_b)
-    worst = max(len(words.conjugate(g0, a)) + len(b) for a, b in pairs)
+    worst = max(len(c) + len(b) for c, b in zip(cs, lists_b))
     return int(math.ceil(worst / (2 * len(root)))) + 1
 
 
@@ -182,9 +182,12 @@ def free_group_oracle(inst: ConjugacyInstance) -> ConjugacyCertificate:
     F are cyclic; then the condition reads c_i = b_i for every m.  So each
     S_i, and S, is all of Z, one value or empty.
 
-    The scan tries m by increasing |m| over the window of
-    :func:`_oracle_m_max`.  A hit at m != 0 is S = {m}; a hit at m = 0 is
-    S = {0}, or S = Z if g0 * z passes too; no hit is S empty.
+    Pairs whose S_i is known are settled first.  The pivot is never tested:
+    c_k = b_k commutes with z, so S_k = Z.  A c_i that commutes with z has
+    S_i = Z if c_i = b_i (the pair drops out), else S_i empty (NotConjugate).
+    The scan tests the pairs left at each m, by increasing |m| over the
+    window of :func:`_oracle_m_max`.  A hit at m != 0 is S = {m}; a hit at
+    m = 0 is S = {0}, or S = Z if g0 * z passes too; no hit is S empty.
 
     If S = Z, minimise |g0 z^m| = d(x, z^m e) with x = g0^-1 e.  z translates
     its axis A by tau >= 1; if x and z^m e lie k and h from A, over the
@@ -192,7 +195,8 @@ def free_group_oracle(inst: ConjugacyInstance) -> ConjugacyCertificate:
     these differ and at most k + h at the one m where they may agree.  So
     the length falls strictly to a minimum at one m or two adjacent ones,
     then rises strictly: walk downhill from m = 0 both ways, and break a tie
-    by shortlex order.  ``enumerated`` counts the candidates checked.
+    by shortlex order.  ``enumerated`` counts the candidates tested against
+    the pairs left: 0 when settling refused the list.
     """
     t0 = time.perf_counter()
     if not inst.is_free_context():
@@ -215,10 +219,15 @@ def free_group_oracle(inst: ConjugacyInstance) -> ConjugacyCertificate:
     g0 = words.multiply(words.multiply(p, core_a[:r]), q_inv)
     z = words.multiply(words.multiply(q, root), q_inv)
     z_inv = words.inverse(z)
+    cs = [words.conjugate(g0, a) for a in inst.lists_a]
+    settled = [i == pivot or words.multiply(c, z) == words.multiply(z, c) for i, c in enumerate(cs)]
+    if any(known and c != b for known, c, b in zip(settled, cs, inst.lists_b)):
+        return _certificate(t0, VERDICT_NOT_CONJUGATE)
+    pending = [(a, b) for known, a, b in zip(settled, inst.lists_a, inst.lists_b) if not known]
     checked = 1
-    if inst.conjugated_by(g0):
+    if _conjugates(g0, pending):
         checked += 1
-        if not inst.conjugated_by(words.multiply(g0, z)):
+        if not _conjugates(words.multiply(g0, z), pending):
             return _certificate(t0, VERDICT_CONJUGATE, g0, checked)
         least = g0
         for step in (z, z_inv):
@@ -228,11 +237,11 @@ def free_group_oracle(inst: ConjugacyInstance) -> ConjugacyCertificate:
                 least = min(least, g, key=words.shortlex_key)
         return _certificate(t0, VERDICT_CONJUGATE, least, checked)
     down = up = g0
-    for _ in range(_oracle_m_max(inst, g0, root)):
+    for _ in range(_oracle_m_max(cs, inst.lists_b, root)):
         down, up = words.multiply(down, z_inv), words.multiply(up, z)
         for g in (down, up):
             checked += 1
-            if inst.conjugated_by(g):
+            if _conjugates(g, pending):
                 return _certificate(t0, VERDICT_CONJUGATE, g, checked)
     return _certificate(t0, VERDICT_NOT_CONJUGATE, enumerated=checked)
 

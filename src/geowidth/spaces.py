@@ -330,6 +330,12 @@ def _safe_ratio(phi: float, h: float) -> float:
     return phi / math.sqrt(s2)
 
 
+def _phi_over_sinh(phi: float) -> float:
+    """phi / sqrt(h^2 - 1) of a point term, as phi / sinh(phi) from phi alone: the root would amplify the rounding of
+    h = <y, p> near p.  It is 1 at phi = 0 and stays finite past phi = 710, where sinh overflows."""
+    return phi * math.exp(-phi) * 2.0 / -math.expm1(-2.0 * phi) if phi else 1.0
+
+
 # Hyperbolic arithmetic on Python floats: points are 3-tuples, an isometry
 # is the 4-tuple of its 2x2 matrix entries.
 
@@ -398,7 +404,7 @@ def _h_grad(y, points, loops) -> tuple:
     a0 = a1 = a2 = 0.0
     for w, p in points:
         p0, p1, p2 = p
-        c = w * 2.0 * _safe_ratio(_h_dist(y, p), y0 * p0 - y1 * p1 - y2 * p2)
+        c = w * 2.0 * _phi_over_sinh(_h_dist(y, p))
         a0, a1, a2 = a0 + c * p0, a1 - c * p1, a2 - c * p2
     for w, m, mi in loops:
         (by0, by1, by2), (iy0, iy1, iy2) = _h_act(m, y), _h_act(mi, y)

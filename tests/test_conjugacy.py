@@ -31,6 +31,7 @@ from geowidth.words import (
 )
 
 from conftest import parabolic_rep, readme_rep
+from reference_oracle import reference_oracle
 
 
 @functools.lru_cache(maxsize=None)
@@ -307,6 +308,97 @@ class TestOracleStress:
                     assert cert.verdict == VERDICT_CONJUGATE and cert.conjugator == ref
                 if cert.conjugator is not None:
                     assert verify(cert.conjugator, inst)[0]
+
+
+def perturbed(rng, rank, w):
+    """w with one letter changed to another generator: its abelianization changes, so it is conjugate to
+    nothing that w is conjugate to."""
+    pos = rng.randrange(len(w))
+    letters = list(w)
+    letters[pos] = rng.choice([x for i in range(1, rank + 1) if i != abs(w[pos]) for x in (i, -i)])
+    return words.reduce_word(letters)
+
+
+def benchmark_shaped(rng, n):
+    """Instance n of a seeded family shaped like the benchmark's conjugacy pool, and its twin with one b_j
+    perturbed: rank 2-3, 1-3 pairs, a conjugator of 0-9 letters, and either a pivot of up to 200 letters
+    beside words of up to 200, or powers of one root of 1-4 letters, up to 48 letters long."""
+    rank, size = 2 + n % 2, 1 + n % 3
+    g = random_word(rng, rank, rng.randint(0, 9))
+    if n % 4 == 3 and size > 1:
+        root = random_word(rng, rank, rng.randint(1, 4), cyclic=True)
+        a_list = [root * rng.randint(1, 48 // len(root)) for _ in range(size)]
+    else:
+        a_list = [random_word(rng, rank, rng.randint(1, 200), cyclic=True)]
+        a_list += [random_word(rng, rank, rng.randint(1, 200)) for _ in range(size - 1)]
+    b_list = [conjugate(g, a) for a in a_list]
+    twin = list(b_list)
+    j = rng.randrange(size)
+    twin[j] = conjugate(g, perturbed(rng, rank, a_list[j]))
+    return [ConjugacyInstance(rank, tuple(a_list), tuple(b)) for b in (b_list, twin)]
+
+
+class TestReferenceOracle:
+    """The oracle, which settles pairs before it scans, against the whole-list window scan."""
+
+    def test_matches_the_whole_list_scan(self):
+        rng = random.Random("reference-oracle")
+        settled_early = 0
+        for n in range(1_000):
+            for inst in benchmark_shaped(rng, n):
+                cert = free_group_oracle(inst)
+                verdict, conjugator, tested = reference_oracle(inst)
+                assert (cert.verdict, cert.conjugator) == (verdict, conjugator), n
+                # only a list refused while settling tests fewer candidates: none
+                if cert.enumerated != tested:
+                    assert (cert.verdict, cert.enumerated) == (VERDICT_NOT_CONJUGATE, 0), n
+                    settled_early += 1
+        assert settled_early > 50
+
+
+def counting_products(monkeypatch):
+    """Record the factors of every ``words.multiply`` call; ``conjugacy`` and ``words.conjugate`` call it
+    through the module, so the record sees every product."""
+    calls, multiply = [], words.multiply
+
+    def counted(a, b):
+        calls.append((a, b))
+        return multiply(a, b)
+
+    monkeypatch.setattr(words, "multiply", counted)
+    return calls
+
+
+class TestSettledPairs:
+    """Count guards: pairs whose S_i is known before the scan cost no scan."""
+
+    def test_refusal_of_a_broken_centralizer_pair_does_not_grow_with_the_window(self, monkeypatch):
+        # a 48-letter power of a one-letter root, beside a power whose conjugate is perturbed: the second
+        # pair commutes with z and fails at m = 0, so the list is refused before the window [-M, M] is scanned
+        rng = random.Random(48)
+        power = (1,) * 48
+        calls, counts, certs = counting_products(monkeypatch), [], []
+        for length in (0, 8, 16, 32):  # M = 49, 57, 77, 113
+            g = random_word(rng, 2, length)
+            while g and g[0] == 1:
+                g = random_word(rng, 2, length)
+            inst = ConjugacyInstance(2, (power, power), (conjugate(g, power), conjugate(g, perturbed(rng, 2, power))))
+            calls.clear()
+            certs.append(free_group_oracle(inst))
+            counts.append(len(calls))
+        assert len(set(counts)) == 1, counts
+        assert all((cert.verdict, cert.enumerated) == (VERDICT_NOT_CONJUGATE, 0) for cert in certs)
+
+    def test_pairs_that_commute_with_z_are_never_tested(self, monkeypatch):
+        # a pair test at a candidate g multiplies a_i g; settling multiplies g0^-1 a_i and c_i z, so a_i
+        # is never a left factor unless some pair is tested
+        ab, g = parse_word("ab"), parse_word("bbaB")
+        a_list = (ab * 2, ab * 3, inverse(ab), ab)
+        inst = ConjugacyInstance(2, a_list, tuple(conjugate(g, a) for a in a_list))
+        calls = counting_products(monkeypatch)
+        cert = free_group_oracle(inst)
+        assert cert.verdict == VERDICT_CONJUGATE and verify(cert.conjugator, inst)[0]
+        assert calls and not [a for a, _ in calls if a in a_list]
 
 
 class TestMatrixContext:
